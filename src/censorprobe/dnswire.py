@@ -58,6 +58,8 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
             hops += 1
             if hops > 32:
                 raise DnsDecodeError("pointer loop")
+        elif length & 0xC0:
+            raise DnsDecodeError("reserved label type")
         elif length == 0:
             if not jumped:
                 end = offset + 1
@@ -65,7 +67,11 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
         else:
             if offset + 1 + length > len(data):
                 raise DnsDecodeError("truncated label")
-            labels.append(data[offset + 1 : offset + 1 + length].decode("ascii"))
+            label = data[offset + 1 : offset + 1 + length]
+            if not label.isascii() or b"." in label:
+                # a dotted-string name could not carry it back to the wire
+                raise DnsDecodeError(f"unrepresentable label {label!r}")
+            labels.append(label.decode("ascii"))
             offset += 1 + length
 
 

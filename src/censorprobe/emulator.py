@@ -2,18 +2,18 @@
 
 Runs as an unprivileged local proxy pair (one UDP listener per emulated
 resolver identity plus an HTTP middlebox) in front of an origin stub, so
-probe and classifier tests have deterministic ground truth.
+probe and classifier tests have deterministic ground truth. Every listener
+is served by one asyncio event loop on one thread.
 """
 
 from __future__ import annotations
 
+import asyncio
 import enum
 import json
 import socket
-import socketserver
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO
 
 from . import dnswire
@@ -203,60 +203,67 @@ def handle_dns(
     return ("NXDOMAIN", [])
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionTranscript:
     listener: str
     entries: list[tuple[str, str]] = field(default_factory=list)
 
 
 class TranscriptRecorder:
+    """Sessions in accept order; each distinct (direction, line) is stored once.
+    Only the emulator's event loop thread writes, so no lock is needed."""
+
     def __init__(self):
-        self._lock = threading.Lock()
         self.sessions: list[SessionTranscript] = []
+        self._entries: dict[tuple[str, str], tuple[str, str]] = {}
 
     def open_session(self, listener: str) -> SessionTranscript:
         session = SessionTranscript(listener=listener)
-        with self._lock:
-            self.sessions.append(session)
+        self.sessions.append(session)
         return session
 
+    def note(self, session: SessionTranscript, direction: str, line: str) -> None:
+        entry = (direction, line)
+        session.entries.append(self._entries.setdefault(entry, entry))
 
-class _DnsHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        data, sock = self.request
-        server: DnsListener = self.server  # type: ignore[assignment]
+
+class DnsListener(asyncio.DatagramProtocol):
+    """One emulated resolver identity on a UDP port bound at construction."""
+
+    def __init__(self, policy: CensorPolicy, resolver: ResolverSpec):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            self.sock.bind(("127.0.0.1", 0))
+        except OSError:
+            self.sock.close()
+            raise
+        self.endpoint: tuple[str, int] = self.sock.getsockname()
+        self.policy = policy
+        self.resolver = resolver
+        self.transport: asyncio.DatagramTransport | None = None
+
+    async def open(self) -> None:
+        loop = asyncio.get_running_loop()
+        await loop.create_datagram_endpoint(lambda: self, sock=self.sock)
+
+    def close(self) -> None:
+        (self.transport or self.sock).close()
+
+    def connection_made(self, transport):
+        self.transport = transport
+
+    def datagram_received(self, data: bytes, addr) -> None:
         try:
             msg = dnswire.decode_message(data)
         except dnswire.DnsDecodeError:
             if len(data) >= 2:
                 # header-only FORMERR; the question was not decodable
-                reply = data[:2] + b"\x81\x81" + b"\x00" * 8
-                sock.sendto(reply, self.client_address)
+                self.transport.sendto(data[:2] + b"\x81\x81" + b"\x00" * 8, addr)
             return
-        kind, addrs = handle_dns(server.policy, msg.qname, server.resolver)
-        if kind == "A":
-            reply = dnswire.encode_response(
-                msg.txid, msg.qname, dnswire.RCODE_NOERROR, addrs
-            )
-        else:
-            reply = dnswire.encode_response(msg.txid, msg.qname, dnswire.RCODE_NXDOMAIN)
-        sock.sendto(reply, self.client_address)
-
-
-class DnsListener(socketserver.ThreadingUDPServer):
-    """One emulated resolver identity on a local UDP port."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, policy: CensorPolicy, resolver: ResolverSpec, bind=("127.0.0.1", 0)):
-        super().__init__(bind, _DnsHandler)
-        self.policy = policy
-        self.resolver = resolver
-
-    @property
-    def endpoint(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
+        kind, addrs = handle_dns(self.policy, msg.qname, self.resolver)
+        rcode = dnswire.RCODE_NOERROR if kind == "A" else dnswire.RCODE_NXDOMAIN
+        reply = dnswire.encode_response(msg.txid, msg.qname, rcode, addrs)
+        self.transport.sendto(reply, addr)
 
 
 # --- HTTP side ------------------------------------------------------------
@@ -278,14 +285,7 @@ def build_response(
     return head + body
 
 
-def _read_request_head(sock: socket.socket) -> bytes:
-    buf = b""
-    while b"\r\n\r\n" not in buf and len(buf) < 65536:
-        chunk = sock.recv(4096)
-        if not chunk:
-            break
-        buf += chunk
-    return buf
+_BACKLOG = 128  # many concurrent probe workers must not overflow the accept queue
 
 
 def _parse_request(raw: bytes) -> tuple[str, str, str] | None:
@@ -306,114 +306,154 @@ def _parse_request(raw: bytes) -> tuple[str, str, str] | None:
     return method, uri, host
 
 
-class _CensorHttpHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        server: CensorHttpProxy = self.server  # type: ignore[assignment]
-        session = server.recorder.open_session("censor-http")
-        raw = _read_request_head(self.request)
-        if not raw:
-            return
+async def _exchange(endpoint: tuple[str, int], request: bytes) -> bytes:
+    """Send request over a fresh TCP connection; return the reply read to EOF."""
+    loop = asyncio.get_running_loop()
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.setblocking(False)
+        await loop.sock_connect(sock, endpoint)
+        await loop.sock_sendall(sock, request)
+        chunks = []
+        while chunk := await loop.sock_recv(sock, 65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class _HttpConnection(asyncio.Protocol):
+    """One accepted connection: collects the request head, hands it to the
+    listener, and stays open until the listener answers or stop() aborts it."""
+
+    def __init__(self, listener: _HttpListener):
+        self.listener = listener
+        self.head: bytes | None = b""  # None once handed to the listener
+        self.pending: asyncio.TimerHandle | asyncio.Task | None = None
+
+    def connection_made(self, transport):
+        self.transport = transport
+        self.listener.connections.add(self)
+        recorder = self.listener.recorder
+        self.session = recorder.open_session(self.listener.name) if recorder else None
+
+    def data_received(self, data: bytes) -> None:
+        if self.head is not None:
+            self.head += data
+            if b"\r\n\r\n" in self.head or len(self.head) >= 65536:
+                self._dispatch()
+
+    def eof_received(self) -> bool:
+        if self.head is not None:
+            self._dispatch()
+        return True  # the listener closes the transport once it has answered
+
+    def connection_lost(self, exc) -> None:
+        self.listener.connections.discard(self)
+        if self.pending is not None:
+            self.pending.cancel()
+
+    def _dispatch(self) -> None:
+        raw, self.head = self.head, None
         parsed = _parse_request(raw)
         if parsed is None:
-            session.entries.append(("in", "<unparseable>"))
-            session.entries.append(("out", "HTTP/1.1 400 Bad Request"))
-            self.request.sendall(build_response(400, "Bad Request", b"bad request"))
+            self.listener.reject(self, raw)
             return
         method, uri, host = parsed
-        session.entries.append(("in", f"{method} {uri} HTTP/1.1"))
-        policy = server.policy
+        self.note("in", f"{method} {uri} HTTP/1.1")
+        self.listener.handle(self, raw, uri, host)
 
-        if any(match_host(p, host) for p in policy.blackhole_hosts):
-            session.entries.append(("out", "<blackhole>"))
-            time.sleep(server.blackhole_delay)
-            return
+    def note(self, direction: str, line: str) -> None:
+        if self.session is not None:
+            self.listener.recorder.note(self.session, direction, line)
 
-        rule = policy.matched_rule(host, uri)
-        if rule is not None:
-            if policy.generation is Generation.Isp302:
-                client_ip = self.client_address[0]
-                location = (
-                    f"http://{policy.redirect_host}/redirect.php"
-                    f"?n={client_ip}@{policy.pop_label}&s={policy.rule_id}"
-                )
-                session.entries.append(("out", "HTTP/1.1 302 Found"))
-                self.request.sendall(
-                    build_response(302, "Found", b"", [("Location", location)])
-                )
-            else:  # Ixp200: filter and return, origin never consulted
-                session.entries.append(("out", "HTTP/1.1 200 OK"))
-                self.request.sendall(
-                    build_response(
-                        200,
-                        "OK",
-                        policy.warning_body,
-                        [("Last-Modified", policy.warning_last_modified)],
-                    )
-                )
-            return
-
-        # Forward to the origin stub verbatim; relay its bytes unmodified.
-        try:
-            with socket.create_connection(server.origin_endpoint, timeout=10) as upstream:
-                upstream.sendall(raw)
-                reply = b""
-                while True:
-                    chunk = upstream.recv(65536)
-                    if not chunk:
-                        break
-                    reply += chunk
-        except OSError:
-            session.entries.append(("out", "HTTP/1.1 502 Bad Gateway"))
-            self.request.sendall(build_response(502, "Bad Gateway", b"origin unreachable"))
-            return
-        session.entries.append(("out", reply.split(b"\r\n", 1)[0].decode("latin-1", "replace")))
-        self.request.sendall(reply)
+    def answer(self, reply: bytes) -> None:
+        """Send reply and close; the transcript records its status line."""
+        self.note("out", reply.split(b"\r\n", 1)[0].decode("latin-1", "replace"))
+        self.transport.write(reply)
+        self.transport.close()
 
 
-class CensorHttpProxy(socketserver.ThreadingTCPServer):
+class _HttpListener:
+    """A TCP listener bound at construction; `handle` answers each request head.
+    With a recorder, each accepted connection opens a session named `name`."""
+
+    name: str  # the transcript's listener name, where there is a recorder
+
+    def __init__(self, policy: CensorPolicy | None, recorder: TranscriptRecorder | None):
+        self.sock = socket.create_server(("127.0.0.1", 0), backlog=_BACKLOG)
+        self.endpoint: tuple[str, int] = self.sock.getsockname()
+        self.policy = policy
+        self.recorder = recorder
+        self.connections: set[_HttpConnection] = set()
+        self._server: asyncio.AbstractServer | None = None
+
+    async def open(self) -> None:
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _HttpConnection(self), sock=self.sock, backlog=_BACKLOG
+        )
+
+    def close(self) -> None:
+        (self._server or self.sock).close()
+        for conn in list(self.connections):
+            conn.transport.abort()
+
+    def reject(self, conn: _HttpConnection, raw: bytes) -> None:
+        """400 for a request head that does not parse."""
+        conn.note("in", "<unparseable>")
+        conn.answer(build_response(400, "Bad Request", b"bad request"))
+
+
+class CensorHttpProxy(_HttpListener):
     """The censoring middlebox: matches policy or forwards to the origin."""
 
-    allow_reuse_address = True
-    daemon_threads = True
-    # many concurrent probe workers must not overflow the accept queue
-    request_queue_size = 128
+    name = "censor-http"
 
     def __init__(
         self,
         policy: CensorPolicy,
-        origin_endpoint: tuple[str, int],
-        bind=("127.0.0.1", 0),
-        recorder: TranscriptRecorder | None = None,
-        blackhole_delay: float = 30.0,
+        origin: OriginStub,
+        recorder: TranscriptRecorder,
+        blackhole_delay: float,
     ):
-        super().__init__(bind, _CensorHttpHandler)
-        self.policy = policy
-        self.origin_endpoint = origin_endpoint
-        self.recorder = recorder or TranscriptRecorder()
+        super().__init__(policy, recorder)
+        self.origin = origin
         self.blackhole_delay = blackhole_delay
 
-    @property
-    def endpoint(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
+    def reject(self, conn: _HttpConnection, raw: bytes) -> None:
+        if raw:
+            super().reject(conn, raw)
+        else:  # a bare connect, as the probe's TCP step makes, gets no answer
+            conn.transport.close()
 
+    def handle(self, conn: _HttpConnection, raw: bytes, uri: str, host: str) -> None:
+        policy = self.policy
+        loop = asyncio.get_running_loop()
 
-class _WarningHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        server: WarningSite = self.server  # type: ignore[assignment]
-        session = server.recorder.open_session("warning-site")
-        raw = _read_request_head(self.request)
-        parsed = _parse_request(raw) if raw else None
-        if parsed is None:
-            session.entries.append(("in", "<unparseable>"))
-            session.entries.append(("out", "HTTP/1.1 400 Bad Request"))
-            self.request.sendall(build_response(400, "Bad Request", b"bad request"))
+        if any(match_host(p, host) for p in policy.blackhole_hosts):
+            conn.note("out", "<blackhole>")
+            conn.pending = loop.call_later(self.blackhole_delay, conn.transport.close)
             return
-        method, uri, _host = parsed
-        session.entries.append(("in", f"{method} {uri} HTTP/1.1"))
-        self.request.sendall(serve_warning_site(server.policy, uri))
-        path = uri.split("?", 1)[0]
-        status = "200 OK" if path == "/redirect.php" else "404 Not Found"
-        session.entries.append(("out", f"HTTP/1.1 {status}"))
+
+        rule = policy.matched_rule(host, uri)
+        if rule is None:
+            conn.pending = loop.create_task(self._forward(conn, raw))
+        elif policy.generation is Generation.Isp302:
+            client_ip = conn.transport.get_extra_info("peername")[0]
+            location = (
+                f"http://{policy.redirect_host}/redirect.php"
+                f"?n={client_ip}@{policy.pop_label}&s={policy.rule_id}"
+            )
+            conn.answer(build_response(302, "Found", b"", [("Location", location)]))
+        else:  # Ixp200: filter and return, origin never consulted
+            headers = [("Last-Modified", policy.warning_last_modified)]
+            conn.answer(build_response(200, "OK", policy.warning_body, headers))
+
+    async def _forward(self, conn: _HttpConnection, raw: bytes) -> None:
+        """Forward to the origin stub verbatim; relay its bytes unmodified."""
+        try:
+            reply = await asyncio.wait_for(_exchange(self.origin.endpoint, raw), 10)
+        except (OSError, asyncio.TimeoutError):
+            reply = build_response(502, "Bad Gateway", b"origin unreachable")
+        conn.answer(reply)
 
 
 def serve_warning_site(policy: CensorPolicy, uri: str) -> bytes:
@@ -424,141 +464,100 @@ def serve_warning_site(policy: CensorPolicy, uri: str) -> bytes:
     return build_response(404, "Not Found", b"404 Not Found")
 
 
-class WarningSite(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    request_queue_size = 128
+class WarningSite(_HttpListener):
+    name = "warning-site"
 
-    def __init__(
-        self,
-        policy: CensorPolicy,
-        bind=("127.0.0.1", 0),
-        recorder: TranscriptRecorder | None = None,
-    ):
-        super().__init__(bind, _WarningHandler)
-        self.policy = policy
-        self.recorder = recorder or TranscriptRecorder()
-
-    @property
-    def endpoint(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
+    def handle(self, conn: _HttpConnection, raw: bytes, uri: str, host: str) -> None:
+        conn.answer(serve_warning_site(self.policy, uri))
 
 
-class _OriginHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        server: OriginStub = self.server  # type: ignore[assignment]
-        raw = _read_request_head(self.request)
-        parsed = _parse_request(raw) if raw else None
-        if parsed is None:
-            self.request.sendall(build_response(400, "Bad Request", b"bad request"))
-            return
-        method, uri, host = parsed
-        with server.lock:
-            server.requests.append((host, uri))
-        self.request.sendall(server.response_for(host, uri))
-
-
-class OriginStub(socketserver.ThreadingTCPServer):
+class OriginStub(_HttpListener):
     """Per-Host content registry standing in for the real web."""
 
-    allow_reuse_address = True
-    daemon_threads = True
-    request_queue_size = 128
-
-    def __init__(self, bind=("127.0.0.1", 0)):
-        super().__init__(bind, _OriginHandler)
-        self.lock = threading.Lock()
+    def __init__(self):
+        super().__init__(None, None)
+        # one shared (host, uri) tuple per distinct request
         self.requests: list[tuple[str, str]] = []
-        # (host, uri) -> (status, reason, headers, body); host -> default body
-        self.pages: dict[tuple[str, str], tuple[int, str, list[tuple[str, str]], bytes]] = {}
+        self._request_keys: dict[tuple[str, str], tuple[str, str]] = {}
         self.site_bodies: dict[str, bytes] = {}
+
+    def handle(self, conn: _HttpConnection, raw: bytes, uri: str, host: str) -> None:
+        key = (host, uri)
+        self.requests.append(self._request_keys.setdefault(key, key))
+        conn.answer(self.response_for(host, uri))
 
     def add_site(self, host: str, body: bytes):
         self.site_bodies[host] = body
 
-    def add_page(
-        self,
-        host: str,
-        uri: str,
-        status: int = 200,
-        reason: str = "OK",
-        headers: list[tuple[str, str]] | None = None,
-        body: bytes = b"",
-    ):
-        self.pages[(host, uri)] = (status, reason, headers or [], body)
-
     def response_for(self, host: str, uri: str) -> bytes:
-        if (host, uri) in self.pages:
-            status, reason, headers, body = self.pages[(host, uri)]
-            return build_response(status, reason, body, headers)
         if host in self.site_bodies:
             return build_response(200, "OK", self.site_bodies[host])
         return build_response(404, "Not Found", b"404 Not Found")
 
     def requests_for(self, host: str) -> list[tuple[str, str]]:
-        with self.lock:
-            return [(h, u) for h, u in self.requests if h == host]
-
-    @property
-    def endpoint(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
+        return [r for r in self.requests if r[0] == host]
 
 
 # --- Harness --------------------------------------------------------------
 
 
 class Emulator:
-    """Wires origin stub, censor proxy, warning site, and DNS listeners."""
+    """Wires origin stub, censor proxy, warning site, and DNS listeners.
+
+    The sockets are bound here; start() serves them all from one asyncio
+    event loop on one thread, and stop() closes them and cancels pending work.
+    """
 
     def __init__(self, policy: CensorPolicy, blackhole_delay: float = 30.0):
         self.policy = policy
         self.recorder = TranscriptRecorder()
         self.origin = OriginStub()
-        self.proxy = CensorHttpProxy(
-            policy,
-            self.origin.endpoint,
-            recorder=self.recorder,
-            blackhole_delay=blackhole_delay,
-        )
-        self.warning = WarningSite(policy, recorder=self.recorder)
-        self.dns_listeners: dict[str, DnsListener] = {}
-        self._threads: list[threading.Thread] = []
-        for resolver in policy.resolver_map:
-            self.dns_listeners[resolver.name] = DnsListener(policy, resolver)
+        self.proxy = CensorHttpProxy(policy, self.origin, self.recorder, blackhole_delay)
+        self.warning = WarningSite(policy, self.recorder)
+        self.dns_listeners = {r.name: DnsListener(policy, r) for r in policy.resolver_map}
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
 
     def resolver_endpoints(self) -> list[ResolverSpec]:
         """Resolver specs rebound to the local listener ports."""
         out = []
         for resolver in self.policy.resolver_map:
-            listener = self.dns_listeners[resolver.name]
-            out.append(
-                ResolverSpec(
-                    name=resolver.name,
-                    address=listener.endpoint[0],
-                    nxdomain_redirector=resolver.nxdomain_redirector,
-                    port=listener.endpoint[1],
-                )
-            )
+            address, port = self.dns_listeners[resolver.name].endpoint
+            out.append(replace(resolver, address=address, port=port))
         return out
 
+    def _listeners(self) -> list[_HttpListener | DnsListener]:
+        return [self.origin, self.proxy, self.warning, *self.dns_listeners.values()]
+
     def start(self):
-        servers = [self.origin, self.proxy, self.warning, *self.dns_listeners.values()]
-        for server in servers:
-            thread = threading.Thread(
-                target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+        if self._loop is not None:
+            return
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._loop.run_forever, daemon=True)
+        self._thread.start()
+        asyncio.run_coroutine_threadsafe(self._open(), self._loop).result()
+
+    async def _open(self):
+        for listener in self._listeners():
+            await listener.open()
+
+    async def _close(self):
+        for listener in self._listeners():
+            listener.close()
+        tasks = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     def stop(self):
-        servers = [self.origin, self.proxy, self.warning, *self.dns_listeners.values()]
-        stoppers = [threading.Thread(target=s.shutdown) for s in servers]
-        for t in stoppers:
-            t.start()
-        for t in stoppers:
-            t.join()
-        for s in servers:
-            s.server_close()
+        if self._thread is None or not self._thread.is_alive():
+            for listener in self._listeners():
+                listener.close()
+            return
+        asyncio.run_coroutine_threadsafe(self._close(), self._loop).result()
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join()
+        self._loop.close()
 
     def __enter__(self):
         self.start()

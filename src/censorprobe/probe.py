@@ -9,7 +9,7 @@ from __future__ import annotations
 import errno
 import socket
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import dnswire, httpwire
 from .model import (
@@ -218,9 +218,11 @@ def run_campaign(
         return []
     portal_host = config.keyword_portal.host
     if portal_host not in config.host_overrides:
-        # resolve the portal once for the whole campaign
+        # resolve the portal once for the whole campaign, into a copy of the
+        # caller's config
         address = _resolve_portal_address(config)
         if address is not None:
-            config.host_overrides[portal_host] = address
+            overrides = {**config.host_overrides, portal_host: address}
+            config = replace(config, host_overrides=overrides)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(lambda t: run_target(t, config), targets))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import logging
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -22,6 +23,21 @@ LOCAL_RESOLVER = ResolverSpec("Local", "192.0.2.53")
 TEST_RESOLVERS = (LOCAL_RESOLVER, *PUBLIC_RESOLVERS)
 
 ORIGIN_BODY = b"<html><body>origin content for %s</body></html>"
+
+
+@pytest.fixture(autouse=True)
+def no_emulator_handler_errors(caplog):
+    """Fail a test when an emulator callback raised on the event loop.
+
+    asyncio logs such exceptions instead of raising them in a test thread.
+    """
+    yield
+    errors = [
+        r.getMessage()
+        for r in caplog.get_records("call")
+        if r.name == "asyncio" and r.levelno >= logging.ERROR
+    ]
+    assert not errors, errors
 
 
 def make_policy(

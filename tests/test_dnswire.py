@@ -42,6 +42,17 @@ def test_decode_rejects_truncated():
         dnswire.decode_message(b"\x00\x01\x02")
 
 
+def test_decode_rejects_bad_labels():
+    header = struct.pack(">HHHHHH", 1, 0x0100, 1, 0, 0, 0)
+    question = b"\x00\x01\x00\x01"
+    non_ascii = header + b"\x02\xc3\xbc\x04test\x00" + question
+    dotted = header + b"\x01.\x00" + question
+    reserved_type = header + b"\x41" + b"a" * 65 + b"\x00" + question
+    for raw in (non_ascii, dotted, reserved_type):
+        with pytest.raises(dnswire.DnsDecodeError):
+            dnswire.decode_message(raw)
+
+
 def test_decode_rejects_pointer_loop():
     data = b"\x00" * 12 + b"\xc0\x0c"
     with pytest.raises(dnswire.DnsDecodeError):

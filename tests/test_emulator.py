@@ -1,11 +1,15 @@
 import socket
 import struct
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from censorprobe import dnswire, httpwire
 from censorprobe.emulator import (
     CensorPolicy,
+    Emulator,
     Generation,
     PolicyInvalid,
     handle_dns,
@@ -15,7 +19,7 @@ from censorprobe.emulator import (
 )
 from censorprobe.model import PUBLIC_RESOLVERS, ResolverSpec
 
-from conftest import make_policy, start_emulator
+from conftest import ORIGIN_BODY, make_policy, start_emulator
 
 RESOLVERS = {r.name: r for r in PUBLIC_RESOLVERS}
 
@@ -232,12 +236,105 @@ class TestDnsListener:
 
     def test_malformed_query_gets_formerr(self, passthrough_emulator):
         endpoint = passthrough_emulator.dns_listeners["Google"].endpoint
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.settimeout(2)
+        header = struct.pack(">HHHHHH", 0xBEEF, 0x0100, 1, 0, 0, 0)
+        non_ascii = header + b"\x02\xc3\xbc\x04test\x00\x00\x01\x00\x01"
+        dotted = header + b"\x01.\x00\x00\x01\x00\x01"
+        for query in (b"\xde\xad\xbe", non_ascii, dotted):
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.settimeout(2)
+            try:
+                sock.sendto(query, endpoint)
+                data, _ = sock.recvfrom(512)
+            finally:
+                sock.close()
+            txid, flags = struct.unpack(">HH", data[:4])
+            assert txid == struct.unpack(">H", query[:2])[0]
+            assert flags & 0x000F == dnswire.RCODE_FORMERR
+
+
+def _wait_for(predicate, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+class TestSingleEventLoop:
+    def _policy(self):
+        return make_policy(
+            Generation.Isp302,
+            http_host_rules=("blocked.test",),
+            live_hosts=("alive.test", "stuck.test"),
+            blackhole_hosts=("stuck.test",),
+        )
+
+    def test_blackhole_parks_only_its_connection_and_stop_is_prompt(self):
+        emu = start_emulator(self._policy(), blackhole_delay=30)
+        parked = socket.create_connection(emu.proxy.endpoint, timeout=5)
         try:
-            sock.sendto(b"\xde\xad\xbe", endpoint)
-            data, _ = sock.recvfrom(512)
+            parked.sendall(b"GET / HTTP/1.1\r\nHost: stuck.test\r\n\r\n")
+            _wait_for(
+                lambda: any(("out", "<blackhole>") in s.entries for s in emu.recorder.sessions)
+            )
+            started = time.monotonic()
+            obs = httpwire.fetch("127.0.0.1", "alive.test", "/", port=emu.proxy.endpoint[1])
+            assert obs.status == 200
+            assert time.monotonic() - started < 1.0
+
+            started = time.monotonic()
+            emu.stop()
+            assert time.monotonic() - started < 1.0
+            try:
+                assert parked.recv(1) == b""  # closed by stop, not after 30 s
+            except ConnectionResetError:
+                pass
         finally:
-            sock.close()
-        _, flags = struct.unpack(">HH", data[:4])
-        assert flags & 0x000F == dnswire.RCODE_FORMERR
+            parked.close()
+            emu.stop()
+        for endpoint in (emu.proxy.endpoint, emu.warning.endpoint, emu.origin.endpoint):
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(endpoint, timeout=1).close()
+        for listener in emu.dns_listeners.values():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.bind(listener.endpoint)  # the port is free again
+
+    def test_stop_without_start_closes_sockets(self):
+        emu = Emulator(self._policy())
+        emu.stop()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(emu.proxy.endpoint, timeout=1).close()
+
+    def test_concurrent_fetches_and_queries(self, isp302_emulator):
+        emu = isp302_emulator
+        port = emu.proxy.endpoint[1]
+        norton = emu.dns_listeners["Norton"].endpoint
+        sessions_before = len(emu.recorder.sessions)
+        origin_before = len(emu.origin.requests)
+
+        def fetch(i):
+            host = "site001.test" if i % 2 else "youtube.com"
+            return host, httpwire.fetch("127.0.0.1", host, f"/{i}", port=port, timeout=10)
+
+        def lookup(_):
+            return dnswire.query(norton, "blocked-dns.test", timeout=5, retries=2)[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=64) as pool:
+                fetches = [pool.submit(fetch, i) for i in range(64)]
+                lookups = [pool.submit(lookup, i) for i in range(64)]
+                fetched = [f.result(timeout=30) for f in fetches]
+                answered = [f.result(timeout=30) for f in lookups]
+        finally:
+            sys.setswitchinterval(interval)
+
+        for host, obs in fetched:
+            if host == "youtube.com":
+                assert obs.status == 302 and "10.16.6.41" in obs.location
+            else:
+                assert obs.status == 200
+                assert obs.body_excerpt == ORIGIN_BODY % b"site001.test"
+        assert all(msg.answers == ["198.153.192.3"] for msg in answered)
+        assert len(emu.recorder.sessions) - sessions_before == 64
+        assert len(emu.origin.requests) - origin_before == 32

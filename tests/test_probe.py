@@ -179,6 +179,14 @@ class TestRunCampaign:
         results = run_campaign(targets, config)
         assert [r.target for r in results] == targets
 
+    def test_caller_config_unchanged(self, passthrough_emulator):
+        config = probe_config_for(passthrough_emulator)
+        del config.host_overrides["www.google.com"]  # the campaign resolves the portal
+        before = dict(config.host_overrides)
+        results = run_campaign([parse_target("http://site001.test")], config)
+        assert results[0].keyword is not None and results[0].keyword.status == 404
+        assert config.host_overrides == before
+
     def test_empty_list(self, passthrough_emulator):
         assert run_campaign([], probe_config_for(passthrough_emulator)) == []
 
