@@ -306,19 +306,6 @@ def _parse_request(raw: bytes) -> tuple[str, str, str] | None:
     return method, uri, host
 
 
-async def _exchange(endpoint: tuple[str, int], request: bytes) -> bytes:
-    """Send request over a fresh TCP connection; return the reply read to EOF."""
-    loop = asyncio.get_running_loop()
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.setblocking(False)
-        await loop.sock_connect(sock, endpoint)
-        await loop.sock_sendall(sock, request)
-        chunks = []
-        while chunk := await loop.sock_recv(sock, 65536):
-            chunks.append(chunk)
-    return b"".join(chunks)
-
-
 class _HttpConnection(asyncio.Protocol):
     """One accepted connection: collects the request head, hands it to the
     listener, and stays open until the listener answers or stop() aborts it."""
@@ -326,7 +313,7 @@ class _HttpConnection(asyncio.Protocol):
     def __init__(self, listener: _HttpListener):
         self.listener = listener
         self.head: bytes | None = b""  # None once handed to the listener
-        self.pending: asyncio.TimerHandle | asyncio.Task | None = None
+        self.pending: asyncio.TimerHandle | None = None
 
     def connection_made(self, transport):
         self.transport = transport
@@ -358,7 +345,7 @@ class _HttpConnection(asyncio.Protocol):
             return
         method, uri, host = parsed
         self.note("in", f"{method} {uri} HTTP/1.1")
-        self.listener.handle(self, raw, uri, host)
+        self.listener.handle(self, uri, host)
 
     def note(self, direction: str, line: str) -> None:
         if self.session is not None:
@@ -403,7 +390,9 @@ class _HttpListener:
 
 
 class CensorHttpProxy(_HttpListener):
-    """The censoring middlebox: matches policy or forwards to the origin."""
+    """The censoring middlebox: answers a request that matches the policy
+    itself; any other request gets the origin stub's reply, computed in the
+    same loop callback without a second connection."""
 
     name = "censor-http"
 
@@ -424,18 +413,17 @@ class CensorHttpProxy(_HttpListener):
         else:  # a bare connect, as the probe's TCP step makes, gets no answer
             conn.transport.close()
 
-    def handle(self, conn: _HttpConnection, raw: bytes, uri: str, host: str) -> None:
+    def handle(self, conn: _HttpConnection, uri: str, host: str) -> None:
         policy = self.policy
-        loop = asyncio.get_running_loop()
-
         if any(match_host(p, host) for p in policy.blackhole_hosts):
             conn.note("out", "<blackhole>")
+            loop = asyncio.get_running_loop()
             conn.pending = loop.call_later(self.blackhole_delay, conn.transport.close)
             return
 
         rule = policy.matched_rule(host, uri)
         if rule is None:
-            conn.pending = loop.create_task(self._forward(conn, raw))
+            conn.answer(self.origin.serve(host, uri))
         elif policy.generation is Generation.Isp302:
             client_ip = conn.transport.get_extra_info("peername")[0]
             location = (
@@ -446,14 +434,6 @@ class CensorHttpProxy(_HttpListener):
         else:  # Ixp200: filter and return, origin never consulted
             headers = [("Last-Modified", policy.warning_last_modified)]
             conn.answer(build_response(200, "OK", policy.warning_body, headers))
-
-    async def _forward(self, conn: _HttpConnection, raw: bytes) -> None:
-        """Forward to the origin stub verbatim; relay its bytes unmodified."""
-        try:
-            reply = await asyncio.wait_for(_exchange(self.origin.endpoint, raw), 10)
-        except (OSError, asyncio.TimeoutError):
-            reply = build_response(502, "Bad Gateway", b"origin unreachable")
-        conn.answer(reply)
 
 
 def serve_warning_site(policy: CensorPolicy, uri: str) -> bytes:
@@ -467,7 +447,7 @@ def serve_warning_site(policy: CensorPolicy, uri: str) -> bytes:
 class WarningSite(_HttpListener):
     name = "warning-site"
 
-    def handle(self, conn: _HttpConnection, raw: bytes, uri: str, host: str) -> None:
+    def handle(self, conn: _HttpConnection, uri: str, host: str) -> None:
         conn.answer(serve_warning_site(self.policy, uri))
 
 
@@ -481,10 +461,14 @@ class OriginStub(_HttpListener):
         self._request_keys: dict[tuple[str, str], tuple[str, str]] = {}
         self.site_bodies: dict[str, bytes] = {}
 
-    def handle(self, conn: _HttpConnection, raw: bytes, uri: str, host: str) -> None:
+    def handle(self, conn: _HttpConnection, uri: str, host: str) -> None:
+        conn.answer(self.serve(host, uri))
+
+    def serve(self, host: str, uri: str) -> bytes:
+        """Record one request for (host, uri) and return the reply to it."""
         key = (host, uri)
         self.requests.append(self._request_keys.setdefault(key, key))
-        conn.answer(self.response_for(host, uri))
+        return self.response_for(host, uri)
 
     def add_site(self, host: str, body: bytes):
         self.site_bodies[host] = body
@@ -505,7 +489,8 @@ class Emulator:
     """Wires origin stub, censor proxy, warning site, and DNS listeners.
 
     The sockets are bound here; start() serves them all from one asyncio
-    event loop on one thread, and stop() closes them and cancels pending work.
+    event loop on one thread, and stop() closes them and aborts open
+    connections, which cancels their blackhole timers.
     """
 
     def __init__(self, policy: CensorPolicy, blackhole_delay: float = 30.0):
@@ -544,10 +529,6 @@ class Emulator:
     async def _close(self):
         for listener in self._listeners():
             listener.close()
-        tasks = asyncio.all_tasks() - {asyncio.current_task()}
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
 
     def stop(self):
         if self._thread is None or not self._thread.is_alive():

@@ -43,6 +43,8 @@ def _parse_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
         status = int(status_parts[1])
     except ValueError as exc:
         raise HttpTransportError(f"bad status code: {lines[0]!r}") from exc
+    if not 100 <= status <= 599:
+        raise HttpTransportError(f"status code out of range: {lines[0]!r}")
     headers: dict[str, str] = {}
     for line in lines[1:]:
         name, _, value = line.partition(b":")

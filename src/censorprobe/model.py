@@ -79,9 +79,10 @@ class TargetUrl:
 def parse_target(raw: str) -> TargetUrl:
     """Parse a URL line into a TargetUrl.
 
-    Missing scheme defaults to http, host is lowercased, missing path
-    becomes "/", fragments are dropped. Raises MalformedUrl when no
-    usable host can be extracted.
+    Missing scheme defaults to http, host is lowercased and IDNA-encoded,
+    missing path becomes "/", fragments are dropped. Raises MalformedUrl
+    when no usable host can be extracted, or when the IDNA codec rejects
+    it (an empty label, or one longer than 63 bytes).
     """
     text = raw.strip()
     if not text:
@@ -95,6 +96,10 @@ def parse_target(raw: str) -> TargetUrl:
     host = parts.netloc.lower()
     if not host or any(c.isspace() for c in host):
         raise MalformedUrl(f"no host in {raw!r}")
+    try:
+        host = host.encode("idna").decode("ascii")
+    except UnicodeError as exc:
+        raise MalformedUrl(f"bad host in {raw!r}: {exc}") from None
     path = parts.path or "/"
     query = parts.query if parts.query else None
     return TargetUrl(raw=raw, scheme=scheme, host=host, path=path, query=query)

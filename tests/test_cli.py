@@ -37,7 +37,8 @@ class TestClean:
         out = str(tmp_path / "cleaned.txt")
         code = main(["clean", "--targets", targets, "--config", config, "--out", out])
         assert code == EXIT_OK
-        lines = open(out).read().splitlines()
+        with open(out) as fh:
+            lines = fh.read().splitlines()
         assert lines == ["http://a.test/", "http://youtube.com/"]
         stdout = capsys.readouterr().out
         assert "4 -> 3 -> 2 -> 2" in stdout

@@ -11,6 +11,7 @@ from censorprobe.emulator import (
     CensorPolicy,
     Emulator,
     Generation,
+    OriginStub,
     PolicyInvalid,
     handle_dns,
     load_policy,
@@ -179,6 +180,19 @@ class TestHttpProxy:
         direct = _raw_http(emu.origin.endpoint, request)
         proxied = _raw_http(emu.proxy.endpoint, request)
         assert direct == proxied
+
+    def test_pass_through_answered_without_origin_listener(
+        self, passthrough_emulator, monkeypatch
+    ):
+        emu = passthrough_emulator
+        listener_calls = []
+        monkeypatch.setattr(OriginStub, "handle", lambda *args: listener_calls.append(args))
+        before = len(emu.origin.requests)
+        request = b"GET /hop HTTP/1.1\r\nHost: site001.test\r\nConnection: close\r\n\r\n"
+        proxied = _raw_http(emu.proxy.endpoint, request)
+        assert listener_calls == []
+        assert emu.origin.requests[before:] == [("site001.test", "/hop")]
+        assert proxied == emu.origin.response_for("site001.test", "/hop")
 
     def test_unparseable_request_gets_400(self, passthrough_emulator):
         raw = _raw_http(passthrough_emulator.proxy.endpoint, b"garbage\r\n\r\n")

@@ -50,6 +50,17 @@ class TestParseTarget:
         with pytest.raises(MalformedUrl):
             parse_target("   ")
 
+    def test_idn_host_idna_encoded(self):
+        t = parse_target("http://BÜCHER.de/x")
+        assert t.host == "xn--bcher-kva.de"
+        assert t.raw == "http://BÜCHER.de/x"
+        assert parse_target(t.render()) == t
+
+    @pytest.mark.parametrize("host", ["a..com", "x" * 64 + ".com", ".", "bü..de"])
+    def test_bad_label_rejected(self, host):
+        with pytest.raises(MalformedUrl):
+            parse_target(f"http://{host}/")
+
 
 _host_label = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=10)
 _hosts = st.lists(_host_label, min_size=1, max_size=4).map(".".join)
@@ -69,7 +80,16 @@ def test_render_parse_round_trip(host, scheme, path, query):
 
 
 def test_parse_is_total_over_lines():
-    lines = ["http://a.com", "garbage with spaces", "b.com/x", "://", ""]
+    lines = [
+        "http://a.com",
+        "garbage with spaces",
+        "b.com/x",
+        "://",
+        "",
+        "bücher.de",
+        "a..com",
+        "x" * 64 + ".com",
+    ]
     for line in lines:
         try:
             result = parse_target(line)

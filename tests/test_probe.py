@@ -187,6 +187,18 @@ class TestRunCampaign:
         assert results[0].keyword is not None and results[0].keyword.status == 404
         assert config.host_overrides == before
 
+    def test_idn_target_is_probed(self):
+        policy = make_policy(
+            Generation.PassThrough, live_hosts=("xn--bcher-kva.test", "www.google.com")
+        )
+        with start_emulator(policy) as emu:
+            targets = [parse_target("http://bücher.test/"), parse_target("http://büch.test/")]
+            results = run_campaign(targets, probe_config_for(emu))
+        assert [r.target for r in results] == targets
+        assert results[0].http.status == 200
+        assert results[0].http.request_host == "xn--bcher-kva.test"
+        assert all(o.outcome is DnsOutcome.NxDomain for o in results[1].dns)
+
     def test_empty_list(self, passthrough_emulator):
         assert run_campaign([], probe_config_for(passthrough_emulator)) == []
 
