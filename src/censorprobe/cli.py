@@ -86,21 +86,9 @@ def cmd_clean(args) -> int:
             address = socket.gethostbyname(t.host)
         return httpwire.fetch(address, t.host, t.request_uri(), port=http_port).status
 
-    if skip_liveness:
-        collapsed, removed_c = dataset.collapse_to_domains(targets, collapse_hosts)
-        deduped, removed_d = dataset.dedupe(collapsed)
-        cleaned = deduped
-        clean_report = dataset.CleaningReport(
-            initial_count=len(targets),
-            after_collapse=len(collapsed),
-            after_dedupe=len(deduped),
-            after_liveness=len(deduped),
-            removed=removed_c + removed_d,
-        )
-    else:
-        cleaned, clean_report = dataset.clean_pipeline(
-            targets, collapse_hosts, clean_fetch
-        )
+    cleaned, clean_report = dataset.clean_pipeline(
+        targets, collapse_hosts, None if skip_liveness else clean_fetch
+    )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for t in cleaned:

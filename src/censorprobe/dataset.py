@@ -149,15 +149,24 @@ def liveness_filter(
 def clean_pipeline(
     targets: list[TargetUrl],
     collapse_hosts: set[str],
-    clean_path: CleanFetch,
+    clean_path: CleanFetch | None,
     control: TargetUrl | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[list[TargetUrl], CleaningReport]:
-    """Run collapse, then dedupe, then liveness; order is fixed."""
+    """Run collapse, then dedupe, then liveness; order is fixed.
+
+    With clean_path None the liveness filter is skipped and keeps every
+    entry.
+    """
     initial = len(targets)
     collapsed, removed_c = collapse_to_domains(targets, collapse_hosts)
     deduped, removed_d = dedupe(collapsed)
-    live, removed_l = liveness_filter(deduped, clean_path, control=control, sleep=sleep)
+    if clean_path is None:
+        live, removed_l = deduped, []
+    else:
+        live, removed_l = liveness_filter(
+            deduped, clean_path, control=control, sleep=sleep
+        )
     report = CleaningReport(
         initial_count=initial,
         after_collapse=len(collapsed),

@@ -145,6 +145,8 @@ def query(
 ) -> tuple[DnsMessage, float]:
     """Send an A query over UDP; returns (message, rtt seconds).
 
+    `timeout` bounds each attempt's whole wait: datagrams from another
+    source and replies with another txid are skipped, but do not extend it.
     Raises socket.timeout after the final retry; DnsDecodeError on a
     garbled response.
     """
@@ -153,12 +155,18 @@ def query(
         txid = random.randrange(0x10000)
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            sock.settimeout(timeout)
             start = time.monotonic()
+            deadline = start + timeout
             sock.sendto(encode_query(txid, qname), server)
             while True:
-                data, _ = sock.recvfrom(4096)
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise socket.timeout("timed out")
+                sock.settimeout(remaining)
+                data, source = sock.recvfrom(4096)
                 elapsed = time.monotonic() - start
+                if source != server:
+                    continue
                 msg = decode_message(data)
                 if msg.txid == txid and msg.is_response:
                     return msg, elapsed

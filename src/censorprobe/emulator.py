@@ -81,6 +81,11 @@ class CensorPolicy:
             raise PolicyInvalid(
                 "redirect_host", f"{self.redirect_host!r} is not a private IPv4 address"
             )
+        # distinct listed base names for keyword interception, in rule order:
+        # host rules, then URI rules
+        names = [*self.http_host_rules, *(p for p, _ in self.http_host_uri_rules)]
+        keyword_names = tuple(dict.fromkeys(_pattern_base(p) for p in names))
+        object.__setattr__(self, "_keyword_names", keyword_names)
 
     def zone_lookup(self, host: str) -> tuple[str, ...] | None:
         for name, addrs in self.zone:
@@ -99,9 +104,7 @@ class CensorPolicy:
             if match_host(pattern, host):
                 return f"host:{pattern}"
         if self.keyword_portal_interception:
-            blocked = {_pattern_base(p) for p in self.http_host_rules}
-            blocked |= {_pattern_base(p) for p, _ in self.http_host_uri_rules}
-            for name in blocked:
+            for name in self._keyword_names:
                 if name in uri:
                     return f"keyword:{name}"
         return None
@@ -210,21 +213,29 @@ class SessionTranscript:
 
 
 class TranscriptRecorder:
-    """Sessions in accept order; each distinct (direction, line) is stored once.
-    Only the emulator's event loop thread writes, so no lock is needed."""
+    """Sessions in accept order; each distinct (direction, line) is stored
+    once, and so is each distinct finished session: close_session puts the
+    first finished session of equal content in its place. Only the
+    emulator's event loop thread writes, so no lock is needed."""
 
     def __init__(self):
         self.sessions: list[SessionTranscript] = []
         self._entries: dict[tuple[str, str], tuple[str, str]] = {}
+        self._finished: dict[tuple[str, tuple], SessionTranscript] = {}
 
-    def open_session(self, listener: str) -> SessionTranscript:
-        session = SessionTranscript(listener=listener)
-        self.sessions.append(session)
-        return session
+    def open_session(self, listener: str) -> int:
+        """Append a new session and return its index in `sessions`."""
+        self.sessions.append(SessionTranscript(listener=listener))
+        return len(self.sessions) - 1
 
-    def note(self, session: SessionTranscript, direction: str, line: str) -> None:
+    def note(self, index: int, direction: str, line: str) -> None:
         entry = (direction, line)
-        session.entries.append(self._entries.setdefault(entry, entry))
+        self.sessions[index].entries.append(self._entries.setdefault(entry, entry))
+
+    def close_session(self, index: int) -> None:
+        session = self.sessions[index]
+        key = (session.listener, tuple(session.entries))
+        self.sessions[index] = self._finished.setdefault(key, session)
 
 
 class DnsListener(asyncio.DatagramProtocol):
@@ -319,7 +330,7 @@ class _HttpConnection(asyncio.Protocol):
         self.transport = transport
         self.listener.connections.add(self)
         recorder = self.listener.recorder
-        self.session = recorder.open_session(self.listener.name) if recorder else None
+        self.session_index = recorder.open_session(self.listener.name) if recorder else None
 
     def data_received(self, data: bytes) -> None:
         if self.head is not None:
@@ -336,6 +347,8 @@ class _HttpConnection(asyncio.Protocol):
         self.listener.connections.discard(self)
         if self.pending is not None:
             self.pending.cancel()
+        if self.session_index is not None:
+            self.listener.recorder.close_session(self.session_index)
 
     def _dispatch(self) -> None:
         raw, self.head = self.head, None
@@ -348,8 +361,8 @@ class _HttpConnection(asyncio.Protocol):
         self.listener.handle(self, uri, host)
 
     def note(self, direction: str, line: str) -> None:
-        if self.session is not None:
-            self.listener.recorder.note(self.session, direction, line)
+        if self.session_index is not None:
+            self.listener.recorder.note(self.session_index, direction, line)
 
     def answer(self, reply: bytes) -> None:
         """Send reply and close; the transcript records its status line."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import socket
+import time
 
 from .model import EXCERPT_LIMIT, HttpObservation
 
@@ -19,10 +20,19 @@ class HttpTransportError(OSError):
     pass
 
 
-def _recv_all(sock: socket.socket, limit: int = MAX_BODY) -> bytes:
+def _settimeout_until(sock: socket.socket, deadline: float) -> None:
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise socket.timeout("timed out")
+    sock.settimeout(remaining)
+
+
+def _recv_all(sock: socket.socket, deadline: float, limit: int = MAX_BODY) -> bytes:
+    """Read to EOF (or `limit` bytes); socket.timeout once `deadline` passes."""
     chunks = []
     total = 0
     while total < limit:
+        _settimeout_until(sock, deadline)
         chunk = sock.recv(65536)
         if not chunk:
             break
@@ -86,8 +96,9 @@ def fetch(
 ) -> HttpObservation:
     """GET uri from address with the given Host header.
 
-    Raises HttpTransportError (an OSError) on connect failure, timeout,
-    reset, or an unparseable response.
+    `timeout` bounds the whole exchange: connect, send and read. Raises
+    HttpTransportError (an OSError) on connect failure, timeout, reset, or
+    an unparseable response.
     """
     request = (
         f"GET {uri} HTTP/1.1\r\n"
@@ -95,11 +106,12 @@ def fetch(
         f"Accept: */*\r\n"
         f"Connection: close\r\n\r\n"
     ).encode("latin-1")
+    deadline = time.monotonic() + timeout
     try:
         with socket.create_connection((address, port), timeout=timeout) as sock:
-            sock.settimeout(timeout)
+            _settimeout_until(sock, deadline)
             sock.sendall(request)
-            raw = _recv_all(sock)
+            raw = _recv_all(sock, deadline)
     except HttpTransportError:
         raise
     except OSError as exc:

@@ -210,10 +210,24 @@ def run_target(target: TargetUrl, config: ProbeConfig) -> TargetProbeResult:
     )
 
 
+def _run_isolated(target: TargetUrl, config: ProbeConfig) -> TargetProbeResult:
+    """run_target, with anything it raises logged on this target's result."""
+    try:
+        return run_target(target, config)
+    except Exception as exc:
+        return TargetProbeResult(
+            target=target, errors=(f"probe: {type(exc).__name__}: {exc}",)
+        )
+
+
 def run_campaign(
     targets: list[TargetUrl], config: ProbeConfig
 ) -> list[TargetProbeResult]:
-    """One pass over the target list; output order equals input order."""
+    """One pass over the target list; output order equals input order.
+
+    No target can lose the campaign: an exception raised while probing one
+    becomes an error-log entry on its result.
+    """
     if not targets:
         return []
     portal_host = config.keyword_portal.host
@@ -225,4 +239,4 @@ def run_campaign(
             overrides = {**config.host_overrides, portal_host: address}
             config = replace(config, host_overrides=overrides)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(lambda t: run_target(t, config), targets))
+        return list(pool.map(lambda t: _run_isolated(t, config), targets))

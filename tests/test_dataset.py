@@ -156,3 +156,14 @@ class TestPipeline:
         _, rep = clean_pipeline(targets, {"youtube.com"}, lambda t: 200, sleep=lambda s: None)
         assert all(isinstance(r, RemovalReason) for _, r in rep.removed)
         assert len(rep.removed) == 2
+
+    def test_no_clean_path_skips_liveness(self):
+        targets = _targets("http://a.com", "http://a.com", "http://dead.com",
+                           "http://youtube.com/v/1", "http://youtube.com/v/2")
+        cleaned, rep = clean_pipeline(targets, {"youtube.com"}, None)
+        assert [t.host for t in cleaned] == ["a.com", "dead.com", "youtube.com"]
+        assert (rep.initial_count, rep.after_collapse, rep.after_dedupe,
+                rep.after_liveness) == (5, 4, 3, 3)
+        assert [r for _, r in rep.removed] == [
+            RemovalReason.CollapsedIntoDomain, RemovalReason.Duplicate
+        ]

@@ -1,4 +1,7 @@
+import socket
 import struct
+import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,3 +76,70 @@ def test_query_encode_decode_round_trip(name, txid):
     assert msg.txid == txid
     assert not msg.is_response
     assert msg.qtype == dnswire.QTYPE_A
+
+
+def test_query_timeout_bounds_a_wrong_txid_flood():
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as server:
+        server.bind(("127.0.0.1", 0))
+        server.settimeout(0.02)
+
+        done = threading.Event()
+
+        def flood():
+            client, reply = None, b""
+            for _ in range(150):  # a reply every 20 ms for about 3 s
+                if done.is_set():
+                    return
+                try:
+                    data, client = server.recvfrom(512)
+                    msg = dnswire.decode_message(data)
+                    reply = dnswire.encode_response(
+                        msg.txid ^ 1, msg.qname, dnswire.RCODE_NOERROR, ["1.2.3.4"]
+                    )
+                except socket.timeout:
+                    pass
+                if client is not None:
+                    server.sendto(reply, client)
+
+        peer = threading.Thread(target=flood)
+        peer.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(socket.timeout):
+                dnswire.query(server.getsockname(), "a.test", timeout=0.3, retries=1)
+            assert time.monotonic() - started < 1.0
+        finally:
+            done.set()
+            peer.join(timeout=10)
+        assert not peer.is_alive()
+
+
+def test_query_skips_datagrams_from_another_source():
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as server, socket.socket(
+        socket.AF_INET, socket.SOCK_DGRAM
+    ) as stranger:
+        server.bind(("127.0.0.1", 0))
+        server.settimeout(5)
+
+        def answer():
+            data, client = server.recvfrom(512)
+            msg = dnswire.decode_message(data)
+            forged = dnswire.encode_response(
+                msg.txid, msg.qname, dnswire.RCODE_NOERROR, ["6.6.6.6"]
+            )
+            stranger.sendto(forged, client)
+            time.sleep(0.05)
+            server.sendto(
+                dnswire.encode_response(
+                    msg.txid, msg.qname, dnswire.RCODE_NOERROR, ["1.2.3.4"]
+                ),
+                client,
+            )
+
+        peer = threading.Thread(target=answer)
+        peer.start()
+        try:
+            msg, _ = dnswire.query(server.getsockname(), "a.test", timeout=2)
+        finally:
+            peer.join(timeout=10)
+        assert msg.answers == ["1.2.3.4"]

@@ -352,3 +352,108 @@ class TestSingleEventLoop:
         assert all(msg.answers == ["198.153.192.3"] for msg in answered)
         assert len(emu.recorder.sessions) - sessions_before == 64
         assert len(emu.origin.requests) - origin_before == 32
+
+
+class TestFinishedSessionsStoredOnce:
+    def _policy(self):
+        return make_policy(
+            Generation.Isp302,
+            http_host_rules=("blocked.test",),
+            live_hosts=("alive.test", "stuck.test", "www.google.com"),
+            keyword_portal_interception=True,
+            blackhole_hosts=("stuck.test",),
+        )
+
+    # the transcript of one run below, as the emulator has always recorded it
+    RUN = [
+        ("censor-http", [("in", "GET / HTTP/1.1"), ("out", "HTTP/1.1 200 OK")]),
+        ("censor-http", [("in", "GET / HTTP/1.1"), ("out", "HTTP/1.1 302 Found")]),
+        (
+            "censor-http",
+            [("in", "GET /http://blocked.test/ HTTP/1.1"), ("out", "HTTP/1.1 302 Found")],
+        ),
+        (
+            "censor-http",
+            [("in", "GET /http://fine.test/ HTTP/1.1"), ("out", "HTTP/1.1 404 Not Found")],
+        ),
+        ("censor-http", [("in", "GET /alive HTTP/1.1"), ("out", "HTTP/1.1 200 OK")]),
+        ("censor-http", [("in", "GET /alive HTTP/1.1"), ("out", "HTTP/1.1 200 OK")]),
+        ("censor-http", []),
+        ("censor-http", []),
+        ("censor-http", []),
+    ]
+
+    def _run(self, emu):
+        """Fetches, keyword fetches and bare connects; one connection each."""
+        port = emu.proxy.endpoint[1]
+        for host, uri in (
+            ("alive.test", "/"),
+            ("blocked.test", "/"),
+            ("www.google.com", "/http://blocked.test/"),
+            ("www.google.com", "/http://fine.test/"),
+            ("alive.test", "/alive"),
+            ("alive.test", "/alive"),
+        ):
+            httpwire.fetch("127.0.0.1", host, uri, port=port, timeout=5)
+        for _ in range(3):
+            socket.create_connection(emu.proxy.endpoint, timeout=5).close()
+        return len(self.RUN)
+
+    @staticmethod
+    def _all_finished(sessions, count):
+        """Every connection accepted, and each content stored as one object."""
+        return len(sessions) == count and len({id(s) for s in sessions}) == len(
+            {(s.listener, tuple(s.entries)) for s in sessions}
+        )
+
+    def test_repeated_traffic_adds_no_session_objects(self):
+        with start_emulator(self._policy()) as emu:
+            sessions = emu.recorder.sessions
+            first = self._run(emu)
+            _wait_for(lambda: self._all_finished(sessions, first))
+            distinct = len({id(s) for s in sessions})
+            second = self._run(emu)
+            _wait_for(lambda: self._all_finished(sessions, first + second))
+            assert len(sessions) == first + second
+            assert len({id(s) for s in sessions}) == distinct
+            bare = [s for s in sessions if not s.entries]
+            assert len(bare) == 6 and all(s is bare[0] for s in bare)
+            assert [(s.listener, s.entries) for s in sessions] == self.RUN * 2
+
+    def test_parked_session_is_its_own_until_stop(self):
+        emu = start_emulator(self._policy(), blackhole_delay=30)
+        parked = [socket.create_connection(emu.proxy.endpoint, timeout=5) for _ in range(2)]
+        try:
+            for sock in parked:
+                sock.sendall(b"GET / HTTP/1.1\r\nHost: stuck.test\r\n\r\n")
+            sessions = emu.recorder.sessions
+            expected = [("in", "GET / HTTP/1.1"), ("out", "<blackhole>")]
+            _wait_for(lambda: [s.entries for s in sessions] == [expected, expected])
+            assert sessions[0] is not sessions[1]
+            emu.stop()
+            assert sessions[0] is sessions[1]
+            assert sessions[0].entries == expected
+        finally:
+            for sock in parked:
+                sock.close()
+            emu.stop()
+
+
+@pytest.mark.parametrize(
+    "host_rules, uri_rules, first",
+    [
+        (("a.test", "b.test"), (), "a.test"),
+        (("b.test", "a.test"), (), "b.test"),
+        (("*.b.test",), (("a.test", "/x"),), "b.test"),
+        ((), (("b.test", "/x"), ("a.test", "/x")), "b.test"),
+    ],
+)
+def test_keyword_rule_is_first_listed_name_in_uri(host_rules, uri_rules, first):
+    policy = make_policy(
+        Generation.Ixp200,
+        http_host_rules=host_rules,
+        http_host_uri_rules=uri_rules,
+        keyword_portal_interception=True,
+    )
+    for uri in ("/http://a.test/b.test", "/http://b.test/a.test"):
+        assert policy.matched_rule("www.google.com", uri) == f"keyword:{first}"

@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import pytest
 
@@ -34,4 +35,31 @@ def test_fetch_out_of_range_status_is_transport_error():
                 fetch("127.0.0.1", "a.test", "/", port=server.getsockname()[1], timeout=5)
         finally:
             peer.join(timeout=5)
+        assert not peer.is_alive()
+
+
+def test_fetch_timeout_bounds_a_slow_drip():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(5)
+
+        def drip():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                try:
+                    for byte in b"HTTP/1.1 200 OK\r\n" * 4:  # about 3 s, then give up
+                        conn.sendall(bytes([byte]))
+                        time.sleep(0.05)
+                except OSError:
+                    pass  # the client gave up and closed
+
+        peer = threading.Thread(target=drip)
+        peer.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(HttpTransportError):
+                fetch("127.0.0.1", "a.test", "/", port=server.getsockname()[1], timeout=0.3)
+            assert time.monotonic() - started < 1.0
+        finally:
+            peer.join(timeout=10)
         assert not peer.is_alive()

@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from censorprobe import probe
 from censorprobe.model import DnsOutcome, TcpResult, parse_target
 from censorprobe.probe import (
     ProbeConfig,
@@ -198,6 +199,29 @@ class TestRunCampaign:
         assert results[0].http.status == 200
         assert results[0].http.request_host == "xn--bcher-kva.test"
         assert all(o.outcome is DnsOutcome.NxDomain for o in results[1].dns)
+
+    def test_exception_for_one_target_is_logged_on_it(
+        self, passthrough_emulator, monkeypatch
+    ):
+        real_dns_step = probe.dns_step
+
+        def dns_step(target, config):
+            if target.host == "site002.test":
+                raise OSError(101, "Network is unreachable")
+            return real_dns_step(target, config)
+
+        monkeypatch.setattr(probe, "dns_step", dns_step)
+        targets = [
+            parse_target("http://site001.test"),
+            parse_target("http://site002.test"),
+            parse_target("http://site001.test/x"),
+        ]
+        results = run_campaign(targets, probe_config_for(passthrough_emulator))
+        assert [r.target for r in results] == targets
+        assert results[1].errors == ("probe: OSError: [Errno 101] Network is unreachable",)
+        assert results[1].dns == () and results[1].http is None
+        assert results[0].errors == () and results[0].http.status == 200
+        assert results[2].errors == () and results[2].http.status == 200
 
     def test_empty_list(self, passthrough_emulator):
         assert run_campaign([], probe_config_for(passthrough_emulator)) == []
