@@ -12,7 +12,6 @@ from .model import (
     DnsOutcome,
     HttpObservation,
     Mechanism,
-    ResolverSpec,
     TcpResult,
     Verdict,
     is_private_ip,
@@ -71,12 +70,11 @@ class Reference:
 
 def classify_dns(
     obs: DnsObservation,
-    known: list[ResolverSpec],
     reference: list[str] | tuple[str, ...] | None = None,
 ) -> Mechanism | None:
-    """DnsInjection on redirector answers or anomalous NXDOMAIN."""
-    spec = next((r for r in known if r.address == obs.resolver.address), obs.resolver)
-    redirector = spec.nxdomain_redirector or obs.resolver.nxdomain_redirector
+    """DnsInjection on redirector answers or anomalous NXDOMAIN. The
+    redirector is the one on the observation's own resolver."""
+    redirector = obs.resolver.nxdomain_redirector
     if obs.outcome is DnsOutcome.Answers:
         if redirector and redirector in obs.answers:
             return Mechanism.DnsInjection
@@ -129,7 +127,6 @@ def classify_http(
 def classify_target(
     result: TargetProbeResult,
     fingerprints: FingerprintSet,
-    known_resolvers: list[ResolverSpec],
     reference: Reference | None = None,
 ) -> Verdict:
     """Union of per-observation classifications plus IP and keyword checks."""
@@ -142,7 +139,7 @@ def classify_target(
     ref_digest = reference.body_digest if reference else None
 
     for i, obs in enumerate(result.dns):
-        if classify_dns(obs, known_resolvers, ref_addresses) is not None:
+        if classify_dns(obs, ref_addresses) is not None:
             mechanisms.add(Mechanism.DnsInjection)
             evidence.append(f"dns[{i}]")
 

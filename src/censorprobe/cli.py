@@ -127,7 +127,6 @@ def cmd_classify(args) -> int:
             )
             for host, entry in doc.items()
         }
-    known = [r.resolver for r in results[0].dns] if results else []
     verdicts = []
     error_logged = 0
     for result in results:
@@ -135,7 +134,7 @@ def cmd_classify(args) -> int:
             error_logged += 1
             continue
         ref = reference.get(result.target.host) if reference else None
-        verdicts.append(classify_target(result, fingerprints, known, ref))
+        verdicts.append(classify_target(result, fingerprints, ref))
     if args.out:
         report.emit(verdicts, args.out)
     try:
@@ -265,7 +264,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (OSError, MalformedUrl, dataset.EmptyList, emulator.PolicyInvalid) as exc:
+    except (
+        OSError,
+        MalformedUrl,
+        dataset.EmptyList,
+        emulator.PolicyInvalid,
+        report.FormatError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAMPAIGN
 

@@ -80,20 +80,32 @@ def parse_target(raw: str) -> TargetUrl:
     """Parse a URL line into a TargetUrl.
 
     Missing scheme defaults to http, host is lowercased and IDNA-encoded,
-    missing path becomes "/", fragments are dropped. Raises MalformedUrl
-    when no usable host can be extracted, or when the IDNA codec rejects
-    it (an empty label, or one longer than 63 bytes).
+    missing path becomes "/", fragments are dropped, and the scheme's
+    default port is dropped. Raises MalformedUrl when no usable host can be
+    extracted, when the IDNA codec rejects it (an empty label, or one
+    longer than 63 bytes), or for userinfo or any other port: every probe
+    step uses the configured HTTP port.
     """
     text = raw.strip()
     if not text:
         raise MalformedUrl("empty input")
     if "://" not in text:
         text = "http://" + text
-    parts = urlsplit(text)
+    try:
+        parts = urlsplit(text)
+        port = parts.port
+    except ValueError as exc:  # a non-numeric port or a bad IPv6 literal
+        raise MalformedUrl(f"bad host in {raw!r}: {exc}") from None
     scheme = parts.scheme.lower()
     if scheme not in ("http", "https"):
         raise MalformedUrl(f"unsupported scheme in {raw!r}")
-    host = parts.netloc.lower()
+    if "@" in parts.netloc:
+        raise MalformedUrl(f"userinfo in {raw!r}")
+    if port is not None and port != {"http": 80, "https": 443}[scheme]:
+        raise MalformedUrl(f"port {port} in {raw!r}")
+    host = parts.hostname or ""
+    if ":" in host:  # an IPv6 literal keeps its brackets
+        host = f"[{host}]"
     if not host or any(c.isspace() for c in host):
         raise MalformedUrl(f"no host in {raw!r}")
     try:

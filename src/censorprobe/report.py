@@ -4,21 +4,23 @@ serialization (emit/load) for every domain type."""
 from __future__ import annotations
 
 import base64
+import enum
+import functools
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from .dataset import CleaningReport, RemovalReason
 from .emulator import SessionTranscript
 from .model import (
     DnsObservation,
-    DnsOutcome,
     HttpObservation,
     Mechanism,
     ResolverSpec,
     TargetUrl,
     TcpObservation,
-    TcpResult,
     Verdict,
 )
 from .probe import TargetProbeResult
@@ -110,198 +112,109 @@ def render_table(report: RunReport) -> str:
 
 
 # --- serialization ----------------------------------------------------------
+# A stored value is {"kind": <class name>, <field>: <value>, ...}, keys in field
+# order; a list is {"kind": "list", "items": [...]}. Each field's JSON form
+# follows from its annotation (_codec), except CleaningReport.removed; Verdict
+# also writes its derived "clean" key, which loading ignores.
+
+STORED_KINDS = (
+    TargetUrl, ResolverSpec, DnsObservation, TcpObservation, HttpObservation,
+    Verdict, TargetProbeResult, CleaningReport, RunReport, SessionTranscript,
+)
+_KINDS = {cls.__name__: cls for cls in STORED_KINDS}
+_DERIVED = {Verdict: ("clean",)}
 
 
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
+class FormatError(ValueError):
+    """A file that does not hold a stored artifact."""
 
 
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
+def _codec(tp):
+    """(encode, decode) for a value annotated `tp`; (None, None) when JSON
+    holds the value as it is."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in (str, int, float, bool):
+        return None, None
+    if tp in STORED_KINDS:
+        return to_jsonable, from_jsonable
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return (lambda v: v.value), tp
+    if tp is bytes:
+        return (lambda v: base64.b64encode(v).decode("ascii")), base64.b64decode
+    if tp is Decimal:
+        return str, Decimal
+    if origin is types.UnionType:  # X | None
+        (inner,) = set(args) - {type(None)}
+        enc, dec = _codec(inner)
+        if enc is None:
+            return enc, dec
+        return (
+            lambda v: None if v is None else enc(v),
+            lambda d: None if d is None else dec(d),
+        )
+    if origin in (tuple, list, frozenset):  # a frozenset is a sorted list
+        (item,) = set(args) - {Ellipsis}
+        order = sorted if origin is frozenset else list
+        enc, dec = _codec(item)
+        if enc is None:
+            return order, origin
+        return (
+            lambda v: order([enc(x) for x in v]),
+            lambda d: origin([dec(x) for x in d]),
+        )
+    if origin is dict:  # Enum keys
+        (enc_k, dec_k), (enc_v, dec_v) = _codec(args[0]), _codec(args[1])
+        return (
+            lambda v: {enc_k(k): x if enc_v is None else enc_v(x) for k, x in v.items()},
+            lambda d: {dec_k(k): x if dec_v is None else dec_v(x) for k, x in d.items()},
+        )
+    raise TypeError(f"no stored format for {tp!r}")
+
+
+_FIELD_CODECS = {
+    (CleaningReport, "removed"): (
+        lambda pairs: [{"target": to_jsonable(t), "reason": r.value} for t, r in pairs],
+        lambda doc: [(from_jsonable(d["target"]), RemovalReason(d["reason"])) for d in doc],
+    ),
+}
+
+
+@functools.cache
+def _plan(cls) -> tuple:
+    """(name, encode or None, decode or None) per field of a stored kind."""
+    if cls not in STORED_KINDS:
+        raise TypeError(f"cannot serialize {cls.__name__}")
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, *(_FIELD_CODECS.get((cls, f.name)) or _codec(hints[f.name])))
+        for f in fields(cls)
+    )
 
 
 def to_jsonable(obj):
-    """Encode any domain value as a JSON-safe dict with a "kind" tag."""
-    if isinstance(obj, TargetUrl):
-        return {
-            "kind": "TargetUrl",
-            "raw": obj.raw,
-            "scheme": obj.scheme,
-            "host": obj.host,
-            "path": obj.path,
-            "query": obj.query,
-        }
-    if isinstance(obj, ResolverSpec):
-        return {
-            "kind": "ResolverSpec",
-            "name": obj.name,
-            "address": obj.address,
-            "nxdomain_redirector": obj.nxdomain_redirector,
-            "port": obj.port,
-        }
-    if isinstance(obj, DnsObservation):
-        return {
-            "kind": "DnsObservation",
-            "resolver": to_jsonable(obj.resolver),
-            "qname": obj.qname,
-            "outcome": obj.outcome.value,
-            "answers": list(obj.answers),
-            "rtt_ms": obj.rtt_ms,
-        }
-    if isinstance(obj, TcpObservation):
-        return {
-            "kind": "TcpObservation",
-            "address": obj.address,
-            "result": obj.result.value,
-            "port": obj.port,
-        }
-    if isinstance(obj, HttpObservation):
-        return {
-            "kind": "HttpObservation",
-            "request_host": obj.request_host,
-            "request_uri": obj.request_uri,
-            "status": obj.status,
-            "location": obj.location,
-            "last_modified": obj.last_modified,
-            "body_digest": obj.body_digest,
-            "body_excerpt": _b64(obj.body_excerpt),
-        }
-    if isinstance(obj, Verdict):
-        return {
-            "kind": "Verdict",
-            "target": to_jsonable(obj.target),
-            "mechanisms": sorted(m.value for m in obj.mechanisms),
-            "evidence": list(obj.evidence),
-            "inconclusive": obj.inconclusive,
-            "clean": obj.clean,
-        }
-    if isinstance(obj, TargetProbeResult):
-        return {
-            "kind": "TargetProbeResult",
-            "target": to_jsonable(obj.target),
-            "dns": [to_jsonable(o) for o in obj.dns],
-            "tcp": [to_jsonable(o) for o in obj.tcp],
-            "keyword": to_jsonable(obj.keyword) if obj.keyword else None,
-            "http": to_jsonable(obj.http) if obj.http else None,
-            "errors": list(obj.errors),
-        }
-    if isinstance(obj, CleaningReport):
-        return {
-            "kind": "CleaningReport",
-            "initial_count": obj.initial_count,
-            "after_collapse": obj.after_collapse,
-            "after_dedupe": obj.after_dedupe,
-            "after_liveness": obj.after_liveness,
-            "removed": [
-                {"target": to_jsonable(t), "reason": r.value} for t, r in obj.removed
-            ],
-        }
-    if isinstance(obj, RunReport):
-        return {
-            "kind": "RunReport",
-            "total": obj.total,
-            "counts": {m.value: c for m, c in obj.counts.items()},
-            "percents": {m.value: str(p) for m, p in obj.percents.items()},
-            "blocked_total": obj.blocked_total,
-            "blocked_percent": str(obj.blocked_percent),
-            "inconclusive": obj.inconclusive,
-            "error_logged": obj.error_logged,
-        }
-    if isinstance(obj, SessionTranscript):
-        return {
-            "kind": "SessionTranscript",
-            "listener": obj.listener,
-            "entries": [list(e) for e in obj.entries],
-        }
-    if isinstance(obj, list):
+    """Encode a stored kind, or a list of them, as a JSON-safe dict with a
+    "kind" tag."""
+    cls = type(obj)
+    if cls is list:
         return {"kind": "list", "items": [to_jsonable(x) for x in obj]}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    doc = {"kind": cls.__name__}
+    for name, enc, _ in _plan(cls):
+        value = getattr(obj, name)
+        doc[name] = value if enc is None else enc(value)
+    for name in _DERIVED.get(cls, ()):
+        doc[name] = getattr(obj, name)
+    return doc
 
 
 def from_jsonable(doc):
+    """Inverse of to_jsonable; raises TypeError for an unknown kind."""
     kind = doc.get("kind")
-    if kind == "TargetUrl":
-        return TargetUrl(
-            raw=doc["raw"],
-            scheme=doc["scheme"],
-            host=doc["host"],
-            path=doc["path"],
-            query=doc["query"],
-        )
-    if kind == "ResolverSpec":
-        return ResolverSpec(
-            name=doc["name"],
-            address=doc["address"],
-            nxdomain_redirector=doc["nxdomain_redirector"],
-            port=doc["port"],
-        )
-    if kind == "DnsObservation":
-        return DnsObservation(
-            resolver=from_jsonable(doc["resolver"]),
-            qname=doc["qname"],
-            outcome=DnsOutcome(doc["outcome"]),
-            answers=tuple(doc["answers"]),
-            rtt_ms=doc["rtt_ms"],
-        )
-    if kind == "TcpObservation":
-        return TcpObservation(
-            address=doc["address"], result=TcpResult(doc["result"]), port=doc["port"]
-        )
-    if kind == "HttpObservation":
-        return HttpObservation(
-            request_host=doc["request_host"],
-            request_uri=doc["request_uri"],
-            status=doc["status"],
-            location=doc["location"],
-            last_modified=doc["last_modified"],
-            body_digest=doc["body_digest"],
-            body_excerpt=_unb64(doc["body_excerpt"]),
-        )
-    if kind == "Verdict":
-        return Verdict(
-            target=from_jsonable(doc["target"]),
-            mechanisms=frozenset(Mechanism(m) for m in doc["mechanisms"]),
-            evidence=tuple(doc["evidence"]),
-            inconclusive=doc["inconclusive"],
-        )
-    if kind == "TargetProbeResult":
-        return TargetProbeResult(
-            target=from_jsonable(doc["target"]),
-            dns=tuple(from_jsonable(o) for o in doc["dns"]),
-            tcp=tuple(from_jsonable(o) for o in doc["tcp"]),
-            keyword=from_jsonable(doc["keyword"]) if doc["keyword"] else None,
-            http=from_jsonable(doc["http"]) if doc["http"] else None,
-            errors=tuple(doc["errors"]),
-        )
-    if kind == "CleaningReport":
-        return CleaningReport(
-            initial_count=doc["initial_count"],
-            after_collapse=doc["after_collapse"],
-            after_dedupe=doc["after_dedupe"],
-            after_liveness=doc["after_liveness"],
-            removed=[
-                (from_jsonable(r["target"]), RemovalReason(r["reason"]))
-                for r in doc["removed"]
-            ],
-        )
-    if kind == "RunReport":
-        return RunReport(
-            total=doc["total"],
-            counts={Mechanism(m): c for m, c in doc["counts"].items()},
-            percents={Mechanism(m): Decimal(p) for m, p in doc["percents"].items()},
-            blocked_total=doc["blocked_total"],
-            blocked_percent=Decimal(doc["blocked_percent"]),
-            inconclusive=doc["inconclusive"],
-            error_logged=doc["error_logged"],
-        )
-    if kind == "SessionTranscript":
-        return SessionTranscript(
-            listener=doc["listener"],
-            entries=[tuple(e) for e in doc["entries"]],
-        )
     if kind == "list":
         return [from_jsonable(x) for x in doc["items"]]
-    raise TypeError(f"cannot deserialize kind {kind!r}")
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise TypeError(f"cannot deserialize kind {kind!r}")
+    return cls(**{n: doc[n] if dec is None else dec(doc[n]) for n, _, dec in _plan(cls)})
 
 
 def emit(artifact, destination: str) -> None:
@@ -315,8 +228,13 @@ def emit(artifact, destination: str) -> None:
 
 
 def load(path: str):
+    """Read an artifact written by emit. Raises OSError when the file cannot
+    be read and FormatError when it holds no stored artifact."""
     try:
         with open(path, encoding="utf-8") as fh:
             return from_jsonable(json.load(fh))
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
+        # not UTF-8 or JSON, an unknown kind, a missing field or a bad value
+        raise FormatError(f"{path}: not a stored artifact: {exc!r}") from exc

@@ -98,7 +98,7 @@ def test_ground_truth_classification_all_generations():
             error_free = [r for r in results if not r.errors]
             mismatches = []
             for r in error_free:
-                verdict = classify_target(r, fingerprints, PUBLIC_RESOLVERS)
+                verdict = classify_target(r, fingerprints)
                 expected = frozenset(truth[r.target.host])
                 if verdict.mechanisms != expected:
                     mismatches.append(
@@ -381,7 +381,7 @@ def test_policy_invariant_fuzz_and_probe():
         )
         fingerprints = fingerprints_for(policy)
         verdicts = [
-            classify_target(r, fingerprints, PUBLIC_RESOLVERS) for r in results
+            classify_target(r, fingerprints) for r in results
         ]
     implied = all(
         Mechanism.Http200Injection in v.mechanisms

@@ -47,40 +47,48 @@ class TestClassifyDns:
             RESOLVERS["Norton"], "blocked.test", DnsOutcome.Answers,
             answers=("198.153.192.3",),
         )
-        assert classify_dns(obs, PUBLIC_RESOLVERS) is Mechanism.DnsInjection
+        assert classify_dns(obs) is Mechanism.DnsInjection
 
     def test_genuine_answer_is_clean(self):
         obs = DnsObservation(
             RESOLVERS["Norton"], "fine.test", DnsOutcome.Answers,
             answers=("93.184.216.34",),
         )
-        assert classify_dns(obs, PUBLIC_RESOLVERS) is None
+        assert classify_dns(obs) is None
 
     def test_nxdomain_from_rewriting_resolver_is_injection(self):
         # OpenDNS never returns raw NXDOMAIN; seeing one means tampering
         obs = DnsObservation(RESOLVERS["OpenDNS"], "blocked.test", DnsOutcome.NxDomain)
-        assert classify_dns(obs, PUBLIC_RESOLVERS) is Mechanism.DnsInjection
+        assert classify_dns(obs) is Mechanism.DnsInjection
 
     def test_nxdomain_contradicting_reference_is_injection(self):
         obs = DnsObservation(RESOLVERS["Google"], "blocked.test", DnsOutcome.NxDomain)
         assert (
-            classify_dns(obs, PUBLIC_RESOLVERS, reference=("93.184.216.34",))
+            classify_dns(obs, reference=("93.184.216.34",))
             is Mechanism.DnsInjection
         )
 
     def test_plain_nxdomain_without_reference_is_clean(self):
         obs = DnsObservation(RESOLVERS["Google"], "nosuch.test", DnsOutcome.NxDomain)
-        assert classify_dns(obs, PUBLIC_RESOLVERS) is None
+        assert classify_dns(obs) is None
 
     def test_timeout_is_not_classified(self):
         obs = DnsObservation(RESOLVERS["Google"], "slow.test", DnsOutcome.Timeout)
-        assert classify_dns(obs, PUBLIC_RESOLVERS, reference=("1.2.3.4",)) is None
+        assert classify_dns(obs, reference=("1.2.3.4",)) is None
 
-    def test_known_resolver_matched_by_address(self):
-        # endpoint rebinding keeps the address but may drop redirector info
-        stripped = ResolverSpec("Norton", "198.153.192.40")
-        obs = DnsObservation(stripped, "blocked.test", DnsOutcome.NxDomain)
-        assert classify_dns(obs, PUBLIC_RESOLVERS) is Mechanism.DnsInjection
+    def test_redirector_read_from_observation_not_address(self):
+        # every emulated resolver shares one address; each keeps its own redirector
+        local = {
+            name: ResolverSpec(name, "127.0.0.1", spec.nxdomain_redirector)
+            for name, spec in RESOLVERS.items()
+        }
+        plain = DnsObservation(local["Google"], "nosuch.test", DnsOutcome.NxDomain)
+        assert classify_dns(plain) is None
+        redirected = DnsObservation(
+            local["Norton"], "blocked.test", DnsOutcome.Answers,
+            answers=("198.153.192.3",),
+        )
+        assert classify_dns(redirected) is Mechanism.DnsInjection
 
 
 class TestClassifyHttp:
@@ -151,7 +159,6 @@ class TestClassifyTarget:
         verdict = classify_target(
             result,
             fingerprints_for(passthrough_emulator.policy),
-            PUBLIC_RESOLVERS,
             reference=Reference(
                 addresses=("127.0.0.1",),
                 body_digest=_origin_digest("site001.test"),
@@ -165,27 +172,21 @@ class TestClassifyTarget:
     ):
         config = probe_config_for(passthrough_emulator)
         result = run_target(parse_target("http://site001.test"), config)
-        verdict = classify_target(
-            result, fingerprints_for(passthrough_emulator.policy), PUBLIC_RESOLVERS
-        )
+        verdict = classify_target(result, fingerprints_for(passthrough_emulator.policy))
         assert verdict.clean
         assert verdict.inconclusive
 
     def test_isp302_target(self, isp302_emulator):
         config = probe_config_for(isp302_emulator)
         result = run_target(parse_target("http://youtube.com"), config)
-        verdict = classify_target(
-            result, fingerprints_for(isp302_emulator.policy), PUBLIC_RESOLVERS
-        )
+        verdict = classify_target(result, fingerprints_for(isp302_emulator.policy))
         assert verdict.mechanisms == frozenset({Mechanism.Http302Redirect})
         assert "http" in verdict.evidence
 
     def test_dns_plus_fake_200(self, ixp200_emulator):
         config = probe_config_for(ixp200_emulator)
         result = run_target(parse_target("http://blocked-dns.test"), config)
-        verdict = classify_target(
-            result, fingerprints_for(ixp200_emulator.policy), PUBLIC_RESOLVERS
-        )
+        verdict = classify_target(result, fingerprints_for(ixp200_emulator.policy))
         assert verdict.mechanisms == frozenset(
             {Mechanism.DnsInjection, Mechanism.Http200Injection}
         )
@@ -209,7 +210,7 @@ class TestClassifyTarget:
             http=None,
             errors=(),
         )
-        verdict = classify_target(result, FPS, PUBLIC_RESOLVERS)
+        verdict = classify_target(result, FPS)
         assert Mechanism.IpBlock in verdict.mechanisms
         assert "tcp[0]" in verdict.evidence and "tcp[1]" in verdict.evidence
 
@@ -226,7 +227,7 @@ class TestClassifyTarget:
             http=None,
             errors=(),
         )
-        verdict = classify_target(result, FPS, PUBLIC_RESOLVERS)
+        verdict = classify_target(result, FPS)
         assert Mechanism.UrlKeyword in verdict.mechanisms
         assert "keyword" in verdict.evidence
 
@@ -236,7 +237,7 @@ class TestClassifyTarget:
             dns=(), tcp=(), keyword=None, http=None, errors=("http: timed out",),
         )
         with pytest.raises(ValueError):
-            classify_target(result, FPS, PUBLIC_RESOLVERS)
+            classify_target(result, FPS)
 
 
 class TestDetermineTrigger:

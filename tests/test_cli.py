@@ -1,8 +1,19 @@
 import json
 
+import pytest
+
 from censorprobe import report
 from censorprobe.cli import EXIT_CAMPAIGN, EXIT_OK, EXIT_USAGE, main
-from censorprobe.model import Mechanism, Verdict, parse_target
+from censorprobe.model import (
+    PUBLIC_RESOLVERS,
+    DnsObservation,
+    DnsOutcome,
+    Mechanism,
+    ResolverSpec,
+    Verdict,
+    parse_target,
+)
+from censorprobe.probe import TargetProbeResult
 
 from conftest import probe_config_for
 
@@ -124,6 +135,63 @@ class TestProbeAndClassify:
             main(["report", "--verdicts", verdicts_path, "--total", "2"]) == EXIT_OK
         )
         assert "50.00" in capsys.readouterr().out
+
+    def test_resolvers_sharing_an_address_keep_their_redirectors(
+        self, tmp_path, capsys
+    ):
+        # as under the emulator: every resolver at 127.0.0.1, and the first
+        # stored observation comes from one with an NXDOMAIN redirector
+        local = {
+            r.name: ResolverSpec(r.name, "127.0.0.1", r.nxdomain_redirector, 5300 + i)
+            for i, r in enumerate(PUBLIC_RESOLVERS)
+        }
+        genuine = DnsObservation(
+            local["Comodo"], "x.test", DnsOutcome.Answers, answers=("93.184.216.34",)
+        )
+        nxdomain = DnsObservation(local["Google"], "nosuch.test", DnsOutcome.NxDomain)
+        results = [
+            TargetProbeResult(
+                target=parse_target("http://nosuch.test/"), dns=(genuine, nxdomain)
+            ),
+            TargetProbeResult(
+                target=parse_target("http://blocked.test/"),
+                dns=(
+                    genuine,
+                    DnsObservation(
+                        local["Norton"], "blocked.test", DnsOutcome.Answers,
+                        answers=("198.153.192.3",),
+                    ),
+                ),
+            ),
+        ]
+        results_path = str(tmp_path / "results.json")
+        report.emit(results, results_path)
+        verdicts_path = str(tmp_path / "verdicts.json")
+        code = main(["classify", "--results", results_path, "--out", verdicts_path])
+        assert code == EXIT_OK
+        verdicts = {v.target.host: v.mechanisms for v in report.load(verdicts_path)}
+        assert verdicts == {
+            "nosuch.test": frozenset(),
+            "blocked.test": frozenset({Mechanism.DnsInjection}),
+        }
+
+
+BAD_STORED_FILES = {
+    "not-json": "{not json",
+    "unknown-kind": json.dumps({"kind": "Mystery"}),
+    "missing-field": json.dumps(
+        {"kind": "list", "items": [{"kind": "Verdict", "mechanisms": []}]}
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["report --verdicts", "classify --results"])
+@pytest.mark.parametrize("content", BAD_STORED_FILES.values(), ids=BAD_STORED_FILES)
+def test_bad_stored_file_is_campaign_error(tmp_path, capsys, command, content):
+    path = _write(tmp_path / "stored.json", content)
+    assert main([*command.split(), path]) == EXIT_CAMPAIGN
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
 
 
 class TestReport:

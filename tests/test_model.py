@@ -56,6 +56,36 @@ class TestParseTarget:
         assert t.raw == "http://BÜCHER.de/x"
         assert parse_target(t.render()) == t
 
+    @pytest.mark.parametrize(
+        "line, host",
+        [
+            ("a.test:80", "a.test"),
+            ("https://A.test:443/x", "a.test"),
+            ("http://a.test:/", "a.test"),
+            ("http://[::1]/", "[::1]"),
+        ],
+    )
+    def test_default_port_dropped(self, line, host):
+        t = parse_target(line)
+        assert t.host == host
+        assert parse_target(t.render()) == t
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "a.test:8080",
+            "http://a.test:443/",
+            "http://user:pw@a.test:81/",
+            "http://user@a.test/",
+            "a.test:abc",
+            "a.test:99999",
+            "http://[::1",
+        ],
+    )
+    def test_port_or_userinfo_rejected(self, line):
+        with pytest.raises(MalformedUrl):
+            parse_target(line)
+
     @pytest.mark.parametrize("host", ["a..com", "x" * 64 + ".com", ".", "bü..de"])
     def test_bad_label_rejected(self, host):
         with pytest.raises(MalformedUrl):
@@ -89,6 +119,10 @@ def test_parse_is_total_over_lines():
         "bücher.de",
         "a..com",
         "x" * 64 + ".com",
+        "a.test:8080",
+        "http://user:pw@a.test:81/",
+        "a.test:abc",
+        "http://[::1",
     ]
     for line in lines:
         try:

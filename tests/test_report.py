@@ -1,7 +1,13 @@
+import ipaddress
+import json
 import random
+from dataclasses import fields
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censorprobe.dataset import CleaningReport, RemovalReason
 from censorprobe.emulator import SessionTranscript
@@ -11,6 +17,8 @@ from censorprobe.model import (
     HttpObservation,
     Mechanism,
     PUBLIC_RESOLVERS,
+    ResolverSpec,
+    TargetUrl,
     TcpObservation,
     TcpResult,
     Verdict,
@@ -18,7 +26,9 @@ from censorprobe.model import (
 )
 from censorprobe.probe import TargetProbeResult
 from censorprobe.report import (
+    STORED_KINDS,
     EmptyCampaign,
+    RunReport,
     aggregate,
     emit,
     from_jsonable,
@@ -167,8 +177,6 @@ SAMPLES = [
 class TestSerialization:
     @pytest.mark.parametrize("value", SAMPLES, ids=lambda v: type(v).__name__)
     def test_round_trip(self, value):
-        import json
-
         doc = to_jsonable(value)
         json.dumps(doc)  # must be JSON-safe as-is
         assert from_jsonable(doc) == value
@@ -192,3 +200,123 @@ class TestSerialization:
             from_jsonable({"kind": "Mystery"})
         with pytest.raises(TypeError):
             to_jsonable(object())
+
+
+GOLDEN_FORMATS = Path(__file__).parent / "data" / "golden_formats.json"
+
+
+def _every_format():
+    return SAMPLES + [aggregate(_campaign_307(), total=307, error_logged=1)]
+
+
+def test_emit_matches_golden_formats(tmp_path):
+    # every stored format, byte for byte: files already written must stay loadable
+    path = tmp_path / "formats.json"
+    emit(_every_format(), str(path))
+    assert path.read_bytes() == GOLDEN_FORMATS.read_bytes()
+    assert load(str(GOLDEN_FORMATS)) == _every_format()
+
+
+def test_frozenset_written_sorted():
+    doc = to_jsonable(Verdict(parse_target("http://a.test/"), frozenset(Mechanism)))
+    assert doc["mechanisms"] == sorted(m.value for m in Mechanism)
+
+
+_text = st.text(max_size=12)
+_tuple_of_text = st.lists(_text, max_size=3).map(tuple)
+_ipv4 = st.ip_addresses(v=4).map(str)
+_unicast = _ipv4.filter(lambda a: not ipaddress.ip_address(a).is_multicast)
+_port = st.integers(1, 65535)
+_decimal = st.decimals(allow_nan=False, allow_infinity=False)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+_targets = st.builds(
+    TargetUrl,
+    raw=_text,
+    scheme=st.sampled_from(["http", "https"]),
+    host=st.from_regex(r"[a-z0-9.-]{1,20}", fullmatch=True),
+    path=_text.map(lambda p: "/" + p),
+    query=st.none() | _text,
+)
+_resolvers = st.builds(
+    ResolverSpec, name=_text, address=_unicast,
+    nxdomain_redirector=st.none() | st.just("192.0.2.99"), port=_port,
+).filter(lambda r: r.address != r.nxdomain_redirector)
+_dns = st.one_of(
+    st.builds(
+        DnsObservation, resolver=_resolvers, qname=_text,
+        outcome=st.just(DnsOutcome.Answers),
+        answers=st.lists(_ipv4, min_size=1, max_size=3).map(tuple), rtt_ms=_finite,
+    ),
+    st.builds(
+        DnsObservation, resolver=_resolvers, qname=_text,
+        outcome=st.sampled_from([o for o in DnsOutcome if o is not DnsOutcome.Answers]),
+        rtt_ms=_finite,
+    ),
+)
+_tcp = st.builds(
+    TcpObservation, address=_ipv4, result=st.sampled_from(TcpResult), port=_port
+)
+_http = st.builds(
+    HttpObservation, request_host=_text, request_uri=_text,
+    status=st.sampled_from([200, 302, 404, 599]), last_modified=st.none() | _text,
+    body_digest=_text, body_excerpt=st.binary(max_size=32),
+)
+_mechanisms = st.frozensets(st.sampled_from(Mechanism))
+STRATEGIES = {
+    TargetUrl: _targets,
+    ResolverSpec: _resolvers,
+    DnsObservation: _dns,
+    TcpObservation: _tcp,
+    HttpObservation: _http | st.builds(
+        HttpObservation, request_host=_text, request_uri=_text,
+        status=st.sampled_from([301, 302]), location=st.none() | _text,
+    ),
+    Verdict: st.builds(
+        Verdict, target=_targets, mechanisms=_mechanisms, evidence=_tuple_of_text,
+        inconclusive=st.booleans(),
+    ),
+    TargetProbeResult: st.builds(
+        TargetProbeResult, target=_targets,
+        dns=st.lists(_dns, max_size=3).map(tuple),
+        tcp=st.lists(_tcp, max_size=2).map(tuple),
+        keyword=st.none() | _http, http=st.none() | _http, errors=_tuple_of_text,
+    ),
+    CleaningReport: st.builds(
+        CleaningReport, initial_count=st.integers(), after_collapse=st.integers(),
+        after_dedupe=st.integers(), after_liveness=st.integers(),
+        removed=st.lists(st.tuples(_targets, st.sampled_from(RemovalReason)), max_size=3),
+    ),
+    RunReport: st.builds(
+        RunReport, total=st.integers(),
+        counts=st.dictionaries(st.sampled_from(Mechanism), st.integers()),
+        percents=st.dictionaries(st.sampled_from(Mechanism), _decimal),
+        blocked_total=st.integers(), blocked_percent=_decimal,
+        inconclusive=st.integers(), error_logged=st.integers(),
+    ),
+    SessionTranscript: st.builds(
+        SessionTranscript, listener=_text,
+        entries=st.lists(st.tuples(_text, _text), max_size=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", STORED_KINDS, ids=lambda k: k.__name__)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_round_trip_through_json_text(kind, data):
+    value = data.draw(STRATEGIES[kind])
+    doc = json.loads(json.dumps(to_jsonable(value)))
+    loaded = from_jsonable(doc)
+    assert loaded == value
+    assert to_jsonable(loaded) == doc  # also fields left out of equality
+
+
+@pytest.mark.parametrize("kind", STORED_KINDS, ids=lambda k: k.__name__)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_encoded_keys_are_the_field_names(kind, data):
+    # a new field is stored with no codec edit
+    doc = to_jsonable(data.draw(STRATEGIES[kind]))
+    derived = ["clean"] if kind is Verdict else []
+    assert list(doc) == ["kind", *(f.name for f in fields(kind)), *derived]
