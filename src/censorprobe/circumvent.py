@@ -84,12 +84,11 @@ def host_header_fetch(
 
 @dataclass
 class CircumventionConfig:
-    methods: list[Method]
+    methods: list[Method] = field(default_factory=list)
     host_ip_table: dict[str, str] = field(default_factory=dict)
     cache_templates: dict[str, str] = field(
         default_factory=lambda: dict(DEFAULT_CACHE_TEMPLATES)
     )
-    cache_engine: CacheEngine = CacheEngine.GoogleCache
     fingerprints: FingerprintSet = field(default_factory=FingerprintSet)
     http_port: int = 80
     timeout: float = 10.0
@@ -113,7 +112,7 @@ def _method_request(
     if method is Method.CoralCdn:
         t = coralize(target)
         return t.host, t.request_uri()
-    t = cache_url(target, config.cache_engine, config.cache_templates)
+    t = cache_url(target, CacheEngine.GoogleCache, config.cache_templates)
     return t.host, t.request_uri()
 
 

@@ -57,7 +57,7 @@ class FingerprintSet:
     def matches_last_modified(self, value: str | None) -> bool:
         if value is None:
             return False
-        return any(value.startswith(v) or v in value for v in self.injected_last_modified)
+        return any(v in value for v in self.injected_last_modified)
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,6 @@ def classify_target(
 class TriggerConfig:
     decoy_port: int = 80
     benign_host: str = "benign.example"
-    benign_uri: str = "/"
     timeout: float = 10.0
     fingerprints: FingerprintSet = field(default_factory=FingerprintSet)
 

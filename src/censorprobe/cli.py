@@ -11,7 +11,8 @@ import time
 
 from . import circumvent, dataset, emulator, httpwire, probe, report
 from .classify import FingerprintSet, Reference, classify_target
-from .model import MalformedUrl, ResolverSpec, parse_target
+from .model import InvalidDocument, MalformedUrl, Verdict, given_keys, parse_target
+from .model import read_document, resolver_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -25,60 +26,71 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _read(path: str, build):
+    with open(path, encoding="utf-8") as fh:
+        return read_document(fh, build)
+
+
+def fingerprint_set(doc: dict) -> FingerprintSet:
+    """A fingerprints file; a signal list it lacks is empty."""
+    lists = given_keys(
+        {"digests": [], "patterns": [], "last_modified": [], **doc}, digests=frozenset,
+        patterns=lambda texts: tuple(p.encode("utf-8") for p in texts), last_modified=tuple,
+    )
+    return FingerprintSet(*lists.values())  # in field order
+
+
 def load_fingerprints(path: str | None) -> FingerprintSet:
-    if path is None:
-        return FingerprintSet()
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return FingerprintSet(
-        warning_page_digests=frozenset(doc.get("digests", [])),
-        warning_excerpt_patterns=tuple(
-            p.encode("utf-8") for p in doc.get("patterns", [])
-        ),
-        injected_last_modified=tuple(doc.get("last_modified", [])),
-    )
+    return FingerprintSet() if path is None else _read(path, fingerprint_set)
 
 
-def load_probe_config(path: str, workers: int | None = None) -> probe.ProbeConfig:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    resolvers = [
-        ResolverSpec(
-            name=r["name"],
-            address=r["address"],
-            nxdomain_redirector=r.get("nxdomain_redirector"),
-            port=r.get("port", 53),
-        )
-        for r in doc["resolvers"]
-    ]
-    timeouts = doc.get("timeouts", {})
+def probe_config(doc: dict) -> probe.ProbeConfig:
+    timeouts = given_keys(doc.get("timeouts", {}), dns=None, tcp=None, http=None)
     return probe.ProbeConfig(
-        resolvers=resolvers,
-        keyword_portal=parse_target(doc.get("keyword_portal", "http://www.google.com")),
-        dns_timeout_ms=timeouts.get("dns", 5000),
-        tcp_timeout_ms=timeouts.get("tcp", 5000),
-        http_timeout_ms=timeouts.get("http", 10000),
-        retries=doc.get("retries", 2),
-        workers=workers or doc.get("workers", 8),
-        host_overrides=dict(doc.get("host_overrides", {})),
-        http_port=doc.get("http_port", 80),
+        **{f"{step}_timeout_ms": ms for step, ms in timeouts.items()},
+        **given_keys(
+            doc, resolvers=lambda rs: list(map(resolver_spec, rs)),
+            keyword_portal=parse_target, retries=None, workers=None, host_overrides=dict,
+            http_port=None,
+        ),
     )
+
+
+def references(doc: dict) -> dict[str, Reference]:
+    """A reference file: {host: {"addresses", "body_digest"}}."""
+    def reference(entry: dict) -> Reference:
+        return Reference(**given_keys(entry, addresses=tuple, body_digest=None))
+
+    return given_keys(doc, **dict.fromkeys(doc, reference))
+
+
+def clean_config(doc: dict) -> dict:
+    keys = dict(collapse_hosts=set, http_port=None, host_overrides=dict, skip_liveness=bool)
+    return given_keys(doc, **keys)
+
+
+def circumvention_config(doc: dict) -> circumvent.CircumventionConfig:
+    return circumvent.CircumventionConfig(**given_keys(
+        doc, methods=lambda names: list(map(circumvent.Method, names)), host_ip_table=dict,
+        cache_templates=lambda t: {**circumvent.DEFAULT_CACHE_TEMPLATES, **t},
+        http_port=None, default_address=None,
+    ))
+
+
+def _stored_list(path: str, kind: type) -> list:
+    """report.load, for a file that must hold a list of `kind`."""
+    items = report.load(path)
+    if type(items) is not list or any(type(x) is not kind for x in items):
+        raise InvalidDocument(f"expected a stored list of {kind.__name__}", path=path)
+    return items
 
 
 def cmd_clean(args) -> int:
     with open(args.targets, "rb") as fh:
         targets, rejected = dataset.load_target_list(fh)
-    collapse_hosts: set[str] = set()
-    http_port = 80
-    overrides: dict[str, str] = {}
-    skip_liveness = False
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        collapse_hosts = set(doc.get("collapse_hosts", []))
-        http_port = doc.get("http_port", 80)
-        overrides = dict(doc.get("host_overrides", {}))
-        skip_liveness = bool(doc.get("skip_liveness", False))
+    config = _read(args.config, clean_config) if args.config else {}
+    http_port = config.get("http_port", 80)
+    overrides = config.get("host_overrides", {})
 
     def clean_fetch(t):
         address = overrides.get(t.host)
@@ -86,8 +98,9 @@ def cmd_clean(args) -> int:
             address = socket.gethostbyname(t.host)
         return httpwire.fetch(address, t.host, t.request_uri(), port=http_port).status
 
+    liveness = None if config.get("skip_liveness") else clean_fetch
     cleaned, clean_report = dataset.clean_pipeline(
-        targets, collapse_hosts, None if skip_liveness else clean_fetch
+        targets, config.get("collapse_hosts", set()), liveness
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -103,7 +116,9 @@ def cmd_clean(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    config = load_probe_config(args.config, workers=args.workers)
+    config = _read(args.config, probe_config)
+    if args.workers:
+        config.workers = args.workers
     with open(args.targets, "rb") as fh:
         targets, _ = dataset.load_target_list(fh)
     results = probe.run_campaign(targets, config)
@@ -114,19 +129,9 @@ def cmd_probe(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    results = report.load(args.results)
+    results = _stored_list(args.results, probe.TargetProbeResult)
     fingerprints = load_fingerprints(args.fingerprints)
-    reference = None
-    if args.reference:
-        with open(args.reference, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        reference = {
-            host: Reference(
-                addresses=tuple(entry.get("addresses", [])),
-                body_digest=entry.get("body_digest"),
-            )
-            for host, entry in doc.items()
-        }
+    reference = _read(args.reference, references) if args.reference else None
     verdicts = []
     error_logged = 0
     for result in results:
@@ -169,24 +174,12 @@ def cmd_emulate(args) -> int:
 def cmd_circumvent(args) -> int:
     with open(args.targets, "rb") as fh:
         targets, _ = dataset.load_target_list(fh)
-    with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    methods = [circumvent.Method(m) for m in doc.get("methods", [])]
-    if not methods:
+    config = _read(args.config, circumvention_config)
+    if not config.methods:
         print("error: no methods configured", file=sys.stderr)
         return EXIT_USAGE
-    config = circumvent.CircumventionConfig(
-        methods=methods,
-        host_ip_table=dict(doc.get("host_ip_table", {})),
-        cache_templates={
-            **circumvent.DEFAULT_CACHE_TEMPLATES,
-            **doc.get("cache_templates", {}),
-        },
-        fingerprints=load_fingerprints(args.fingerprints),
-        http_port=doc.get("http_port", 80),
-        default_address=doc.get("default_address"),
-    )
-    matrix = circumvent.evaluate_matrix(targets, methods, config)
+    config.fingerprints = load_fingerprints(args.fingerprints)
+    matrix = circumvent.evaluate_matrix(targets, config.methods, config)
     merged: dict[str, dict[str, str]] = {}
     for (url, method), outcome in matrix.outcomes.items():
         merged.setdefault(url, {})[method.value] = outcome.value
@@ -194,12 +187,12 @@ def cmd_circumvent(args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(merged, fh, indent=2)
         fh.write("\n")
-    print(f"{len(targets)} targets x {len(methods)} methods -> {out}")
+    print(f"{len(targets)} targets x {len(config.methods)} methods -> {out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    verdicts = report.load(args.verdicts)
+    verdicts = _stored_list(args.verdicts, Verdict)
     total = args.total or len(verdicts)
     try:
         run_report = report.aggregate(verdicts, total=total)
@@ -264,13 +257,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (
-        OSError,
-        MalformedUrl,
-        dataset.EmptyList,
-        emulator.PolicyInvalid,
-        report.FormatError,
-    ) as exc:
+    except (OSError, MalformedUrl, dataset.EmptyList, InvalidDocument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAMPAIGN
 

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import json
 import socket
 import threading
 from dataclasses import dataclass, field, replace
 from typing import IO
 
 from . import dnswire
-from .model import ResolverSpec, is_private_ip
+from .model import (
+    InvalidDocument, ResolverSpec, given_keys, is_private_ip, read_document, resolver_spec,
+)
 
 DEFAULT_WARNING_BODY = (
     b"<html><head><title>Surf Safely!</title></head>"
@@ -26,12 +27,6 @@ DEFAULT_WARNING_BODY = (
 DEFAULT_LAST_MODIFIED = "Fri, 19 Apr 2013 10:47:01 GMT"
 DEFAULT_POP_LABEL = "Isb-Dhok-P2"
 DEFAULT_RULE_ID = "124"
-
-
-class PolicyInvalid(ValueError):
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 class Generation(enum.Enum):
@@ -72,15 +67,11 @@ class CensorPolicy:
         http_hosts = set(self.http_host_rules) | {h for h, _ in self.http_host_uri_rules}
         for i, rule in enumerate(self.dns_rules):
             if rule not in http_hosts:
-                raise PolicyInvalid(
-                    f"dns_rules[{i}]",
-                    f"{rule!r} has no matching HTTP rule; DNS-blocked hosts "
-                    "must also be HTTP-blocked",
-                )
+                reason = f"{rule!r} has no HTTP rule; a DNS-blocked host needs one"
+                raise InvalidDocument(reason, f"dns_rules[{i}]")
         if self.generation is Generation.Isp302 and not is_private_ip(self.redirect_host):
-            raise PolicyInvalid(
-                "redirect_host", f"{self.redirect_host!r} is not a private IPv4 address"
-            )
+            reason = f"{self.redirect_host!r} is not a private IPv4 address"
+            raise InvalidDocument(reason, "redirect_host")
         # distinct listed base names for keyword interception, in rule order:
         # host rules, then URI rules
         names = [*self.http_host_rules, *(p for p, _ in self.http_host_uri_rules)]
@@ -113,76 +104,37 @@ class CensorPolicy:
         return any(match_host(p, qname) for p in self.dns_rules)
 
 
+def _str_list(value) -> tuple[str, ...]:
+    # a string would otherwise become a tuple of characters
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError("expected a list of strings")
+    return tuple(value)
+
+
+def _pairs(value) -> tuple[tuple[str, str], ...]:
+    if not all(isinstance(p, list) and len(p) == 2 for p in value):
+        raise TypeError("expected [host, uri] pairs")
+    return tuple((host, uri) for host, uri in value)
+
+
+def _policy(doc: dict) -> CensorPolicy:
+    found = given_keys(
+        doc, generation=Generation, dns_rules=_str_list, http_host_rules=_str_list,
+        http_host_uri_rules=_pairs, resolver_map=lambda rs: tuple(map(resolver_spec, rs)),
+        redirect_host=None, warning_body=lambda text: text.encode("utf-8"),
+        warning_last_modified=None, keyword_portal_interception=bool, pop_label=None,
+        rule_id=None, blackhole_hosts=_str_list,
+        zone=lambda z: tuple((host, tuple(addrs)) for host, addrs in z.items()),
+    )
+    if "warning_body" not in found and "warning_body_file" in doc:
+        with open(doc["warning_body_file"], "rb") as fh:
+            found["warning_body"] = fh.read()
+    return CensorPolicy(**found)
+
+
 def load_policy(source: IO[str] | str) -> CensorPolicy:
     """Build a validated CensorPolicy from JSON text or a file object."""
-    text = source if isinstance(source, str) else source.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PolicyInvalid("$", f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise PolicyInvalid("$", "policy document must be an object")
-
-    gen_name = doc.get("generation")
-    try:
-        generation = Generation(gen_name)
-    except ValueError:
-        raise PolicyInvalid(
-            "generation", f"{gen_name!r} is not one of PassThrough/Isp302/Ixp200"
-        ) from None
-
-    def str_list(key: str) -> tuple[str, ...]:
-        val = doc.get(key, [])
-        if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-            raise PolicyInvalid(key, "expected a list of strings")
-        return tuple(val)
-
-    host_uri = []
-    for i, pair in enumerate(doc.get("http_host_uri_rules", [])):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise PolicyInvalid(f"http_host_uri_rules[{i}]", "expected [host, uri] pair")
-        host_uri.append((pair[0], pair[1]))
-
-    resolvers = []
-    for i, spec in enumerate(doc.get("resolver_map", [])):
-        try:
-            resolvers.append(
-                ResolverSpec(
-                    name=spec["name"],
-                    address=spec["address"],
-                    nxdomain_redirector=spec.get("nxdomain_redirector"),
-                    port=spec.get("port", 53),
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise PolicyInvalid(f"resolver_map[{i}]", str(exc)) from exc
-
-    warning_body = DEFAULT_WARNING_BODY
-    if "warning_body" in doc:
-        warning_body = doc["warning_body"].encode("utf-8")
-    elif "warning_body_file" in doc:
-        with open(doc["warning_body_file"], "rb") as fh:
-            warning_body = fh.read()
-
-    zone = tuple(
-        (host, tuple(addrs)) for host, addrs in doc.get("zone", {}).items()
-    )
-
-    return CensorPolicy(
-        generation=generation,
-        dns_rules=str_list("dns_rules"),
-        http_host_rules=str_list("http_host_rules"),
-        http_host_uri_rules=tuple(host_uri),
-        resolver_map=tuple(resolvers),
-        redirect_host=doc.get("redirect_host", "10.16.6.41"),
-        warning_body=warning_body,
-        warning_last_modified=doc.get("warning_last_modified", DEFAULT_LAST_MODIFIED),
-        keyword_portal_interception=bool(doc.get("keyword_portal_interception", False)),
-        pop_label=doc.get("pop_label", DEFAULT_POP_LABEL),
-        rule_id=doc.get("rule_id", DEFAULT_RULE_ID),
-        zone=zone,
-        blackhole_hosts=str_list("blackhole_hosts"),
-    )
+    return read_document(source, _policy)
 
 
 # --- DNS side -------------------------------------------------------------

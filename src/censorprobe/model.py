@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import enum
 import ipaddress
+import json
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
+from typing import IO, Any, Callable
+from urllib.parse import quote, urlsplit
 
 EXCERPT_LIMIT = 4096
+
+# what building an object from a decoded document raises for a bad value
+DOCUMENT_ERRORS = (ValueError, KeyError, TypeError, AttributeError, ArithmeticError)
+
+# printable ASCII but space: kept as it is in a URL's path and query
+_URL_VERBATIM = "".join(map(chr, range(0x21, 0x7F)))
 
 _PRIVATE_NETS = (
     ipaddress.ip_network("10.0.0.0/8"),
@@ -18,6 +26,61 @@ _PRIVATE_NETS = (
 
 class MalformedUrl(ValueError):
     pass
+
+
+class InvalidDocument(ValueError):
+    """An input file that is not a JSON object of the expected shape. The
+    message starts with `path`, the file's name (None for JSON text), and
+    `key`, the key at fault, when there is one."""
+
+    def __init__(self, reason: str, key: str | None = None, path: str | None = None):
+        super().__init__(reason)
+        self.key, self.path = key, path
+
+    def __str__(self) -> str:
+        return ": ".join(p for p in (self.path, self.key, self.args[0]) if p is not None)
+
+
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"not valid JSON: {exc}"
+    return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _json_object(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def read_document(source: IO[str] | str, build: Callable[[dict], Any]) -> Any:
+    """build(doc) for the JSON object in `source`, JSON text or an open file.
+    Anything raised while decoding or building becomes InvalidDocument,
+    named after `source.name`."""
+    path = getattr(source, "name", None)
+    try:
+        text = source if isinstance(source, str) else source.read()
+        return build(_json_object(json.loads(text)))
+    except InvalidDocument as exc:
+        exc.path = path
+        raise
+    except DOCUMENT_ERRORS as exc:
+        raise InvalidDocument(_reason(exc), path=path) from exc
+
+
+def given_keys(doc: dict, /, **convert: Callable | None) -> dict:
+    """The keys of `doc` named in `convert`, each value through its converter
+    (None: as it is). A key the document lacks is left out, so its default
+    stays on the dataclass; a value its converter rejects raises
+    InvalidDocument naming the key."""
+    found, doc = {}, _json_object(doc)
+    for key, conv in convert.items():
+        if key in doc:
+            try:
+                found[key] = doc[key] if conv is None else conv(doc[key])
+            except DOCUMENT_ERRORS as exc:
+                raise InvalidDocument(_reason(exc), key=key) from exc
+    return found
 
 
 class Mechanism(enum.Enum):
@@ -81,7 +144,9 @@ def parse_target(raw: str) -> TargetUrl:
 
     Missing scheme defaults to http, host is lowercased and IDNA-encoded,
     missing path becomes "/", fragments are dropped, and the scheme's
-    default port is dropped. Raises MalformedUrl when no usable host can be
+    default port is dropped. Spaces, control characters and non-ASCII in
+    the path and query are percent-encoded as UTF-8, as browsers send
+    them. Raises MalformedUrl when no usable host can be
     extracted, when the IDNA codec rejects it (an empty label, or one
     longer than 63 bytes), or for userinfo or any other port: every probe
     step uses the configured HTTP port.
@@ -112,8 +177,10 @@ def parse_target(raw: str) -> TargetUrl:
         host = host.encode("idna").decode("ascii")
     except UnicodeError as exc:
         raise MalformedUrl(f"bad host in {raw!r}: {exc}") from None
-    path = parts.path or "/"
-    query = parts.query if parts.query else None
+    path, query = parts.path or "/", parts.query or None
+    if not (text.isascii() and text.isprintable()) or " " in text:
+        path = quote(path, safe=_URL_VERBATIM)
+        query = query and quote(query, safe=_URL_VERBATIM)
     return TargetUrl(raw=raw, scheme=scheme, host=host, path=path, query=query)
 
 
@@ -149,6 +216,12 @@ class ResolverSpec:
             ipaddress.ip_address(self.nxdomain_redirector)
             if self.nxdomain_redirector == self.address:
                 raise ValueError("redirector must differ from resolver address")
+
+
+def resolver_spec(entry: dict) -> ResolverSpec:
+    """A ResolverSpec from a resolver entry of an input file."""
+    keys = dict.fromkeys(("name", "address", "nxdomain_redirector", "port"))
+    return ResolverSpec(**given_keys(entry, **keys))
 
 
 # The five public servers and the redirectors observed for them.

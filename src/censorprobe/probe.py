@@ -129,17 +129,14 @@ def _resolve_portal_address(config: ProbeConfig) -> str | None:
     return None
 
 
-def keyword_step(
-    target: TargetUrl, config: ProbeConfig, portal_address: str | None = None
-) -> HttpObservation:
+def keyword_step(target: TargetUrl, config: ProbeConfig) -> HttpObservation:
     """GET "/" + the full target URL on the portal host.
 
     A 404 means no URL-keyword filtering; any other status is evidence of
     it. Raises HttpTransportError on transport failure (the caller logs it
     and marks the step inconclusive).
     """
-    if portal_address is None:
-        portal_address = _resolve_portal_address(config)
+    portal_address = _resolve_portal_address(config)
     if portal_address is None:
         raise httpwire.HttpTransportError("keyword portal did not resolve")
     return httpwire.fetch(

@@ -22,6 +22,7 @@ from .model import (
     TargetUrl,
     TcpObservation,
     Verdict,
+    read_document,
 )
 from .probe import TargetProbeResult
 
@@ -125,10 +126,6 @@ _KINDS = {cls.__name__: cls for cls in STORED_KINDS}
 _DERIVED = {Verdict: ("clean",)}
 
 
-class FormatError(ValueError):
-    """A file that does not hold a stored artifact."""
-
-
 def _codec(tp):
     """(encode, decode) for a value annotated `tp`; (None, None) when JSON
     holds the value as it is."""
@@ -229,12 +226,6 @@ def emit(artifact, destination: str) -> None:
 
 def load(path: str):
     """Read an artifact written by emit. Raises OSError when the file cannot
-    be read and FormatError when it holds no stored artifact."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return from_jsonable(json.load(fh))
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
-        # not UTF-8 or JSON, an unknown kind, a missing field or a bad value
-        raise FormatError(f"{path}: not a stored artifact: {exc!r}") from exc
+    be read and InvalidDocument when it holds no stored artifact."""
+    with open(path, encoding="utf-8") as fh:
+        return read_document(fh, from_jsonable)

@@ -17,8 +17,9 @@ from censorprobe.classify import (
     determine_trigger,
 )
 from censorprobe.dataset import RemovalReason, clean_pipeline
-from censorprobe.emulator import Generation, PolicyInvalid, load_policy
+from censorprobe.emulator import Generation, load_policy
 from censorprobe.model import (
+    InvalidDocument,
     Mechanism,
     PUBLIC_RESOLVERS,
     Verdict,
@@ -354,7 +355,7 @@ def test_policy_invariant_fuzz_and_probe():
         try:
             load_policy(doc)
             accepted = True
-        except PolicyInvalid:
+        except InvalidDocument:
             accepted = False
         if violates and accepted:
             false_accepts += 1

@@ -3,7 +3,19 @@ import json
 import pytest
 
 from censorprobe import report
-from censorprobe.cli import EXIT_CAMPAIGN, EXIT_OK, EXIT_USAGE, main
+from censorprobe.circumvent import DEFAULT_CACHE_TEMPLATES, CircumventionConfig, Method
+from censorprobe.classify import FingerprintSet, Reference
+from censorprobe.cli import (
+    EXIT_CAMPAIGN,
+    EXIT_OK,
+    EXIT_USAGE,
+    circumvention_config,
+    clean_config,
+    fingerprint_set,
+    main,
+    probe_config,
+    references,
+)
 from censorprobe.model import (
     PUBLIC_RESOLVERS,
     DnsObservation,
@@ -12,8 +24,9 @@ from censorprobe.model import (
     ResolverSpec,
     Verdict,
     parse_target,
+    read_document,
 )
-from censorprobe.probe import TargetProbeResult
+from censorprobe.probe import ProbeConfig, TargetProbeResult
 
 from conftest import probe_config_for
 
@@ -176,6 +189,13 @@ class TestProbeAndClassify:
         }
 
 
+_TARGET = parse_target("http://a.test/")
+_STORED = {
+    "results": [TargetProbeResult(target=_TARGET)],
+    "verdicts": [Verdict(target=_TARGET, mechanisms=frozenset())],
+    "target-url": _TARGET,
+}
+_STORED_TEXT = {name: json.dumps(report.to_jsonable(v)) for name, v in _STORED.items()}
 BAD_STORED_FILES = {
     "not-json": "{not json",
     "unknown-kind": json.dumps({"kind": "Mystery"}),
@@ -183,15 +203,220 @@ BAD_STORED_FILES = {
         {"kind": "list", "items": [{"kind": "Verdict", "mechanisms": []}]}
     ),
 }
+# (name, command, content): a bad file for either command, then stored
+# artifacts of the other command's kind
+BAD_STORED_CASES = [
+    *(
+        (name, command, content)
+        for command in ["report --verdicts", "classify --results"]
+        for name, content in BAD_STORED_FILES.items()
+    ),
+    ("verdicts", "classify --results", _STORED_TEXT["verdicts"]),
+    ("results", "report --verdicts", _STORED_TEXT["results"]),
+    ("target-url", "classify --results", _STORED_TEXT["target-url"]),
+    ("target-url", "report --verdicts", _STORED_TEXT["target-url"]),
+]
 
 
-@pytest.mark.parametrize("command", ["report --verdicts", "classify --results"])
-@pytest.mark.parametrize("content", BAD_STORED_FILES.values(), ids=BAD_STORED_FILES)
+@pytest.mark.parametrize(
+    "command, content",
+    [pytest.param(c, t, id=f"{n}-{c}") for n, c, t in BAD_STORED_CASES],
+)
 def test_bad_stored_file_is_campaign_error(tmp_path, capsys, command, content):
     path = _write(tmp_path / "stored.json", content)
     assert main([*command.split(), path]) == EXIT_CAMPAIGN
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err
+
+
+_PROBE = {"resolvers": [{"name": "Google", "address": "8.8.8.8"}]}
+# (file kind, content, key named in the error or None); every other input of
+# the command is valid
+MALFORMED_INPUTS = {
+    "probe-empty": ("probe", "{}", None),
+    "probe-not-json": ("probe", "{", None),
+    "probe-bad-address": (
+        "probe", json.dumps({"resolvers": [{"name": "G", "address": "bogus"}]}), "resolvers"
+    ),
+    "probe-no-resolvers": ("probe", json.dumps({"resolvers": []}), None),
+    "probe-zero-timeout": (
+        "probe", json.dumps({**_PROBE, "timeouts": {"dns": 0}}), None
+    ),
+    "fingerprints-not-json": ("fingerprints", "nope", None),
+    "fingerprints-no-signal": (
+        "fingerprints",
+        json.dumps({"digests": [], "patterns": [], "last_modified": []}),
+        None,
+    ),
+    "fingerprints-list": ("fingerprints", "[1]", None),
+    "reference-not-json": ("reference", "{]", None),
+    "reference-entry-list": ("reference", json.dumps({"a.test": [1]}), "a.test"),
+    "reference-list": ("reference", "[1]", None),
+    "clean-not-json": ("clean", "", None),
+    "clean-list": ("clean", "[1]", None),
+    "clean-collapse-number": ("clean", json.dumps({"collapse_hosts": 5}), "collapse_hosts"),
+    "circumvent-bad-method": ("circumvent", json.dumps({"methods": ["Nope"]}), "methods"),
+    "policy-zone-list": (
+        "policy", json.dumps({"generation": "Ixp200", "zone": [1]}), "zone"
+    ),
+    "policy-body-number": (
+        "policy", json.dumps({"generation": "Ixp200", "warning_body": 5}), "warning_body"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, content, key", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS
+)
+def test_malformed_input_file_is_campaign_error(tmp_path, capsys, kind, content, key):
+    path = _write(tmp_path / "input.json", content)
+    targets = _write(tmp_path / "targets.txt", "http://a.test/\n")
+    results = str(tmp_path / "results.json")
+    report.emit([], results)
+    argv = {
+        "probe": ["probe", "--targets", targets, "--config", path, "--out", results],
+        "fingerprints": ["classify", "--results", results, "--fingerprints", path],
+        "reference": ["classify", "--results", results, "--reference", path],
+        "clean": ["clean", "--targets", targets, "--config", path, "--out", results],
+        "circumvent": ["circumvent", "--targets", targets, "--config", path],
+        "policy": ["emulate", "--policy", path],
+    }[kind]
+    assert main(argv) == EXIT_CAMPAIGN
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    if key is not None:
+        assert err.startswith(f"error: {path}: {key}: ")
+
+
+_FULL_PROBE = {
+    "resolvers": [
+        {"name": "Google", "address": "8.8.8.8"},
+        {
+            "name": "Comodo",
+            "address": "8.26.56.26",
+            "nxdomain_redirector": "92.242.144.50",
+            "port": 5353,
+        },
+    ],
+    "keyword_portal": "http://portal.test",
+    "timeouts": {"dns": 100, "tcp": 200, "http": 300},
+    "retries": 0,
+    "workers": 3,
+    "host_overrides": {"portal.test": "127.0.0.1"},
+    "http_port": 8080,
+    "unknown": "ignored",
+}
+# (builder, document, the object built by hand): a full and a minimal
+# document of each kind the tool reads
+VALID_DOCUMENTS = {
+    "probe-full": (
+        probe_config,
+        _FULL_PROBE,
+        ProbeConfig(
+            resolvers=[
+                ResolverSpec("Google", "8.8.8.8"),
+                ResolverSpec("Comodo", "8.26.56.26", "92.242.144.50", port=5353),
+            ],
+            keyword_portal=parse_target("http://portal.test"),
+            dns_timeout_ms=100,
+            tcp_timeout_ms=200,
+            http_timeout_ms=300,
+            retries=0,
+            workers=3,
+            host_overrides={"portal.test": "127.0.0.1"},
+            http_port=8080,
+        ),
+    ),
+    "probe-minimal": (
+        probe_config, _PROBE, ProbeConfig(resolvers=[ResolverSpec("Google", "8.8.8.8")])
+    ),
+    "fingerprints-full": (
+        fingerprint_set,
+        {"digests": ["d1", "d2"], "patterns": ["not accessible"], "last_modified": ["Fri"]},
+        FingerprintSet(
+            warning_page_digests=frozenset({"d1", "d2"}),
+            warning_excerpt_patterns=(b"not accessible",),
+            injected_last_modified=("Fri",),
+        ),
+    ),
+    "fingerprints-minimal": (
+        fingerprint_set,
+        {"patterns": ["x"]},
+        FingerprintSet(warning_excerpt_patterns=(b"x",), injected_last_modified=()),
+    ),
+    "reference-full": (
+        references,
+        {"a.test": {"addresses": ["192.0.2.1"], "body_digest": "ab"}, "b.test": {}},
+        {"a.test": Reference(("192.0.2.1",), "ab"), "b.test": Reference()},
+    ),
+    "reference-minimal": (references, {}, {}),
+    "clean-full": (
+        clean_config,
+        {
+            "collapse_hosts": ["youtube.com"],
+            "http_port": 8080,
+            "host_overrides": {"a.test": "127.0.0.1"},
+            "skip_liveness": 1,
+        },
+        {
+            "collapse_hosts": {"youtube.com"},
+            "http_port": 8080,
+            "host_overrides": {"a.test": "127.0.0.1"},
+            "skip_liveness": True,
+        },
+    ),
+    "clean-minimal": (clean_config, {}, {}),
+    "circumvent-full": (
+        circumvention_config,
+        {
+            "methods": ["CoralCdn", "SearchCache"],
+            "host_ip_table": {"a.test": "192.0.2.1"},
+            "cache_templates": {"Bing": "http://bing.test/{URL}"},
+            "http_port": 8080,
+            "default_address": "127.0.0.1",
+        },
+        CircumventionConfig(
+            methods=[Method.CoralCdn, Method.SearchCache],
+            host_ip_table={"a.test": "192.0.2.1"},
+            cache_templates={**DEFAULT_CACHE_TEMPLATES, "Bing": "http://bing.test/{URL}"},
+            http_port=8080,
+            default_address="127.0.0.1",
+        ),
+    ),
+    "circumvent-minimal": (
+        circumvention_config, {"methods": ["CoralCdn"]}, CircumventionConfig([Method.CoralCdn])
+    ),
+    "stored-full": (
+        report.from_jsonable,
+        report.to_jsonable(_STORED["verdicts"]),
+        _STORED["verdicts"],
+    ),
+    "stored-minimal": (report.from_jsonable, {"kind": "list", "items": []}, []),
+}
+
+
+@pytest.mark.parametrize(
+    "build, doc, expected", VALID_DOCUMENTS.values(), ids=VALID_DOCUMENTS
+)
+def test_valid_document_loads_to_object_built_by_hand(tmp_path, build, doc, expected):
+    path = _write(tmp_path / "input.json", json.dumps(doc))
+    with open(path, encoding="utf-8") as fh:
+        assert read_document(fh, build) == expected
+    assert read_document(json.dumps(doc), build) == expected
+
+
+def test_workers_option_overrides_probe_config(tmp_path, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        "censorprobe.probe.run_campaign", lambda targets, config: seen.append(config) or []
+    )
+    config = _write(tmp_path / "probe.json", json.dumps({**_PROBE, "workers": 3}))
+    targets = _write(tmp_path / "targets.txt", "http://a.test/\n")
+    out = str(tmp_path / "results.json")
+    argv = ["probe", "--targets", targets, "--config", config, "--out", out]
+    assert main(argv) == EXIT_OK
+    assert main([*argv, "--workers", "5"]) == EXIT_OK
+    assert [c.workers for c in seen] == [3, 5]
 
 
 class TestReport:

@@ -1,3 +1,4 @@
+import json
 import socket
 import struct
 import sys
@@ -12,15 +13,28 @@ from censorprobe.emulator import (
     Emulator,
     Generation,
     OriginStub,
-    PolicyInvalid,
     handle_dns,
     load_policy,
     match_host,
     serve_warning_site,
 )
-from censorprobe.model import PUBLIC_RESOLVERS, ResolverSpec
+from censorprobe.classify import classify_target
+from censorprobe.model import (
+    PUBLIC_RESOLVERS,
+    InvalidDocument,
+    Mechanism,
+    ResolverSpec,
+    parse_target,
+)
+from censorprobe.probe import run_campaign
 
-from conftest import ORIGIN_BODY, make_policy, start_emulator
+from conftest import (
+    ORIGIN_BODY,
+    fingerprints_for,
+    make_policy,
+    probe_config_for,
+    start_emulator,
+)
 
 RESOLVERS = {r.name: r for r in PUBLIC_RESOLVERS}
 
@@ -73,7 +87,7 @@ class TestHandleDns:
 
 class TestPolicyValidation:
     def test_dns_rule_without_http_rule_rejected(self):
-        with pytest.raises(PolicyInvalid) as exc:
+        with pytest.raises(InvalidDocument) as exc:
             CensorPolicy(generation=Generation.Ixp200, dns_rules=("a.test",))
         assert "dns_rules[0]" in str(exc.value)
 
@@ -86,7 +100,7 @@ class TestPolicyValidation:
         assert policy.dns_blocked("a.test")
 
     def test_isp302_requires_private_redirect_host(self):
-        with pytest.raises(PolicyInvalid) as exc:
+        with pytest.raises(InvalidDocument) as exc:
             CensorPolicy(generation=Generation.Isp302, redirect_host="8.8.8.8")
         assert "redirect_host" in str(exc.value)
 
@@ -96,12 +110,89 @@ class TestPolicyValidation:
         assert policy.warning_last_modified.startswith("Fri, 19 Apr 2013")
 
     def test_load_policy_bad_generation(self):
-        with pytest.raises(PolicyInvalid):
+        with pytest.raises(InvalidDocument):
             load_policy('{"generation": "Nope"}')
 
     def test_load_policy_invariant_enforced(self):
-        with pytest.raises(PolicyInvalid):
+        with pytest.raises(InvalidDocument):
             load_policy('{"generation": "Ixp200", "dns_rules": ["a.test"]}')
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_full_and_minimal_documents_load_to_equal_policies(self, tmp_path, as_file):
+        body_file = tmp_path / "warning.html"
+        body_file.write_bytes(b"<html>blocked</html>")
+        documents = [
+            (
+                {
+                    "generation": "Isp302",
+                    "dns_rules": ["a.test"],
+                    "http_host_rules": ["a.test", "*.b.test"],
+                    "http_host_uri_rules": [["c.test", "/x"]],
+                    "resolver_map": [
+                        {"name": "Google", "address": "8.8.8.8"},
+                        {
+                            "name": "Norton",
+                            "address": "198.153.192.40",
+                            "nxdomain_redirector": "198.153.192.3",
+                            "port": 5301,
+                        },
+                    ],
+                    "redirect_host": "10.0.0.9",
+                    "warning_body": "stop",
+                    "warning_body_file": str(body_file),
+                    "warning_last_modified": "Sat, 20 Apr 2013 00:00:00 GMT",
+                    "keyword_portal_interception": 1,
+                    "pop_label": "pop",
+                    "rule_id": "7",
+                    "zone": {"a.test": ["192.0.2.1"], "d.test": []},
+                    "blackhole_hosts": ["e.test"],
+                    "unknown": "ignored",
+                },
+                CensorPolicy(
+                    generation=Generation.Isp302,
+                    dns_rules=("a.test",),
+                    http_host_rules=("a.test", "*.b.test"),
+                    http_host_uri_rules=(("c.test", "/x"),),
+                    resolver_map=(
+                        ResolverSpec("Google", "8.8.8.8"),
+                        ResolverSpec("Norton", "198.153.192.40", "198.153.192.3", 5301),
+                    ),
+                    redirect_host="10.0.0.9",
+                    warning_body=b"stop",
+                    warning_last_modified="Sat, 20 Apr 2013 00:00:00 GMT",
+                    keyword_portal_interception=True,
+                    pop_label="pop",
+                    rule_id="7",
+                    zone=(("a.test", ("192.0.2.1",)), ("d.test", ())),
+                    blackhole_hosts=("e.test",),
+                ),
+            ),
+            (
+                {"generation": "Ixp200", "warning_body_file": str(body_file)},
+                CensorPolicy(
+                    generation=Generation.Ixp200, warning_body=b"<html>blocked</html>"
+                ),
+            ),
+            ({"generation": "PassThrough"}, CensorPolicy(generation=Generation.PassThrough)),
+        ]
+        for doc, expected in documents:
+            text = json.dumps(doc)
+            if as_file:
+                path = tmp_path / "policy.json"
+                path.write_text(text, encoding="utf-8")
+                with open(path, encoding="utf-8") as fh:
+                    assert load_policy(fh) == expected
+            else:
+                assert load_policy(text) == expected
+
+    def test_bad_policy_file_named_in_error(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text('{"generation": "Ixp200", "dns_rules": "a.test"}', encoding="utf-8")
+        with open(path, encoding="utf-8") as fh, pytest.raises(InvalidDocument) as exc:
+            load_policy(fh)
+        assert exc.value.path == str(path)
+        assert exc.value.key == "dns_rules"
+        assert str(exc.value) == f"{path}: dns_rules: expected a list of strings"
 
     def test_load_large_field_shaped_policy(self):
         dns = [f"dns{i:03}.test" for i in range(187)]
@@ -193,6 +284,16 @@ class TestHttpProxy:
         assert listener_calls == []
         assert emu.origin.requests[before:] == [("site001.test", "/hop")]
         assert proxied == emu.origin.response_for("site001.test", "/hop")
+
+    def test_space_in_path_gets_the_host_rule_verdict(self, ixp200_emulator):
+        # the space is sent percent-encoded, so the proxy sees a well-formed
+        # request line: no 400 on either fetch, and no UrlKeyword from it
+        emu = ixp200_emulator
+        (result,) = run_campaign([parse_target("http://youtube.com/a b")], probe_config_for(emu))
+        assert result.errors == ()
+        assert result.keyword.status == 404
+        verdict = classify_target(result, fingerprints_for(emu.policy))
+        assert verdict.mechanisms == {Mechanism.Http200Injection}
 
     def test_unparseable_request_gets_400(self, passthrough_emulator):
         raw = _raw_http(passthrough_emulator.proxy.endpoint, b"garbage\r\n\r\n")

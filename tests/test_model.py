@@ -86,6 +86,22 @@ class TestParseTarget:
         with pytest.raises(MalformedUrl):
             parse_target(line)
 
+    @pytest.mark.parametrize(
+        "line, rendered",
+        [
+            ("http://youtube.com/a b", "http://youtube.com/a%20b"),
+            ("http://a.test/caf€", "http://a.test/caf%E2%82%AC"),
+            ("http://a.test/x\x01y?q=é f", "http://a.test/x%01y?q=%C3%A9%20f"),
+            ("http://a.test/%20?a=%2F&b=<\"`>{}|", "http://a.test/%20?a=%2F&b=<\"`>{}|"),
+        ],
+    )
+    def test_path_and_query_percent_encoded(self, line, rendered):
+        t = parse_target(line)
+        assert t.render() == rendered
+        assert t.raw == line
+        assert parse_target(t.render()) == t
+        assert t.request_uri().isascii()
+
     @pytest.mark.parametrize("host", ["a..com", "x" * 64 + ".com", ".", "bü..de"])
     def test_bad_label_rejected(self, host):
         with pytest.raises(MalformedUrl):
@@ -109,6 +125,11 @@ def test_render_parse_round_trip(host, scheme, path, query):
     assert parse_target(t.render()) == t
 
 
+@given(st.text(alphabet=[chr(c) for c in range(0x21, 0x7F) if chr(c) not in "#?"]))
+def test_printable_ascii_path_kept_as_is(path):
+    assert parse_target("http://a.test/" + path).path == "/" + path
+
+
 def test_parse_is_total_over_lines():
     lines = [
         "http://a.com",
@@ -123,6 +144,8 @@ def test_parse_is_total_over_lines():
         "http://user:pw@a.test:81/",
         "a.test:abc",
         "http://[::1",
+        "http://youtube.com/a b",
+        "http://a.test/caf€",
     ]
     for line in lines:
         try:

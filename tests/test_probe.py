@@ -200,6 +200,13 @@ class TestRunCampaign:
         assert results[0].http.request_host == "xn--bcher-kva.test"
         assert all(o.outcome is DnsOutcome.NxDomain for o in results[1].dns)
 
+    def test_non_ascii_path_keeps_its_observations(self, passthrough_emulator):
+        config = probe_config_for(passthrough_emulator)
+        (result,) = run_campaign([parse_target("http://site001.test/caf€")], config)
+        assert result.errors == ()
+        assert len(result.dns) == len(config.resolvers)
+        assert result.http.request_uri == "/caf%E2%82%AC"
+
     def test_exception_for_one_target_is_logged_on_it(
         self, passthrough_emulator, monkeypatch
     ):
