@@ -25,10 +25,6 @@ class AmbiguousEvidence(Exception):
     """200 response with no fingerprint match and no reference digest."""
 
 
-class DecoyUnreachable(OSError):
-    pass
-
-
 class TriggerVerdict(enum.Enum):
     HostOnly = "HostOnly"
     HostAndUri = "HostAndUri"
@@ -183,12 +179,7 @@ class TriggerConfig:
 def _censored(
     decoy: str, host: str, uri: str, config: TriggerConfig
 ) -> bool:
-    try:
-        obs = httpwire.fetch(
-            decoy, host, uri, port=config.decoy_port, timeout=config.timeout
-        )
-    except httpwire.HttpTransportError as exc:
-        raise DecoyUnreachable(str(exc)) from exc
+    obs = httpwire.fetch(decoy, host, uri, port=config.decoy_port, timeout=config.timeout)
     try:
         return classify_http(obs, config.fingerprints) is not None
     except AmbiguousEvidence:
@@ -201,7 +192,8 @@ def determine_trigger(
     """Probe whether censorship fires on Host alone or on Host+URI.
 
     Sends crafted requests to an uncensored decoy address: (host, "/"),
-    then (host, uri), then (benign host, uri).
+    then (host, uri), then (benign host, uri). Raises HttpTransportError
+    when the decoy cannot be reached.
     """
     if _censored(decoy, host, "/", config):
         return TriggerVerdict.HostOnly

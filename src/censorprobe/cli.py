@@ -26,6 +26,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return int(text)
+
+
 def _read(path: str, build):
     with open(path, encoding="utf-8") as fh:
         return read_document(fh, build)
@@ -117,7 +123,7 @@ def cmd_clean(args) -> int:
 
 def cmd_probe(args) -> int:
     config = _read(args.config, probe_config)
-    if args.workers:
+    if args.workers is not None:
         config.workers = args.workers
     with open(args.targets, "rb") as fh:
         targets, _ = dataset.load_target_list(fh)
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_positive_int)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("classify", help="turn probe results into verdicts")

@@ -21,18 +21,28 @@ RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
 
 
-class DnsDecodeError(ValueError):
+class DnsError(OSError):
+    """The one error of this layer: a name that cannot be encoded, a socket
+    error, a garbled reply (DnsDecodeError) or no reply in time (DnsTimeout)."""
+
+
+class DnsDecodeError(DnsError):
+    pass
+
+
+class DnsTimeout(DnsError, TimeoutError):
     pass
 
 
 def encode_name(name: str) -> bytes:
+    """Uncompressed wire form of a dotted name; "" or "." is the root."""
     out = bytearray()
-    for label in name.rstrip(".").split("."):
-        raw = label.encode("ascii")
-        if not 0 < len(raw) < 64:
-            raise ValueError(f"bad label in {name!r}")
-        out.append(len(raw))
-        out.extend(raw)
+    if name not in ("", "."):
+        for label in name.rstrip(".").split("."):
+            if not (label.isascii() and 0 < len(label) < 64):
+                raise DnsError(f"bad label in {name!r}")
+            out.append(len(label))
+            out.extend(label.encode("ascii"))
     out.append(0)
     return bytes(out)
 
@@ -147,31 +157,30 @@ def query(
 
     `timeout` bounds each attempt's whole wait: datagrams from another
     source and replies with another txid are skipped, but do not extend it.
-    Raises socket.timeout after the final retry; DnsDecodeError on a
-    garbled response.
+    Raises only DnsError: DnsTimeout after the final retry, DnsDecodeError
+    on a garbled response, a DnsError for a name that cannot be encoded,
+    and one naming the server for any socket error.
     """
-    last_exc: Exception = socket.timeout("no attempt made")
     for _ in range(retries + 1):
         txid = random.randrange(0x10000)
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            start = time.monotonic()
-            deadline = start + timeout
-            sock.sendto(encode_query(txid, qname), server)
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise socket.timeout("timed out")
-                sock.settimeout(remaining)
-                data, source = sock.recvfrom(4096)
-                elapsed = time.monotonic() - start
-                if source != server:
-                    continue
-                msg = decode_message(data)
-                if msg.txid == txid and msg.is_response:
-                    return msg, elapsed
-        except socket.timeout as exc:
-            last_exc = exc
-        finally:
-            sock.close()
-    raise last_exc
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                start = time.monotonic()
+                deadline = start + timeout
+                sock.sendto(encode_query(txid, qname), server)
+                while (remaining := deadline - time.monotonic()) > 0:
+                    sock.settimeout(remaining)
+                    data, source = sock.recvfrom(4096)
+                    elapsed = time.monotonic() - start
+                    if source != server:
+                        continue
+                    msg = decode_message(data)
+                    if msg.txid == txid and msg.is_response:
+                        return msg, elapsed
+        except TimeoutError:
+            pass  # the next attempt
+        except DnsError:
+            raise
+        except OSError as exc:
+            raise DnsError(f"{server[0]}:{server[1]}: {exc}") from exc
+    raise DnsTimeout(f"no reply from {server[0]}:{server[1]} in {retries + 1} attempts")

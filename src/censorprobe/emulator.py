@@ -127,6 +127,8 @@ def _policy(doc: dict) -> CensorPolicy:
         zone=lambda z: tuple((host, tuple(addrs)) for host, addrs in z.items()),
     )
     if "warning_body" not in found and "warning_body_file" in doc:
+        if not isinstance(doc["warning_body_file"], str):
+            raise InvalidDocument("expected a file name", "warning_body_file")
         with open(doc["warning_body_file"], "rb") as fh:
             found["warning_body"] = fh.read()
     return CensorPolicy(**found)

@@ -212,6 +212,8 @@ class ResolverSpec:
         ip = ipaddress.ip_address(self.address)
         if ip.is_multicast:
             raise ValueError(f"resolver address must be unicast: {self.address}")
+        if not 1 <= self.port <= 65535:
+            raise ValueError(f"port out of range: {self.port}")
         if self.nxdomain_redirector is not None:
             ipaddress.ip_address(self.nxdomain_redirector)
             if self.nxdomain_redirector == self.address:

@@ -44,6 +44,10 @@ class ProbeConfig:
         for value in (self.dns_timeout_ms, self.tcp_timeout_ms, self.http_timeout_ms):
             if value <= 0:
                 raise ValueError("timeouts must be strictly positive")
+        if self.workers < 1 or self.retries < 0:
+            raise ValueError("workers must be at least 1 and retries at least 0")
+        if not 1 <= self.http_port <= 65535:
+            raise ValueError(f"http_port out of range: {self.http_port}")
 
 
 @dataclass
@@ -60,23 +64,15 @@ def dns_step(target: TargetUrl, config: ProbeConfig) -> list[DnsObservation]:
     """One A lookup per configured resolver; failures become outcomes."""
     observations = []
     for resolver in config.resolvers:
-        endpoint = (resolver.address, resolver.port)
         try:
             msg, rtt = dnswire.query(
-                endpoint,
-                target.host,
-                timeout=config.dns_timeout_ms / 1000.0,
-                retries=config.retries,
+                (resolver.address, resolver.port), target.host,
+                timeout=config.dns_timeout_ms / 1000.0, retries=config.retries,
             )
-        except socket.timeout:
-            observations.append(
-                DnsObservation(resolver, target.host, DnsOutcome.Timeout)
-            )
-            continue
-        except dnswire.DnsDecodeError:
-            observations.append(
-                DnsObservation(resolver, target.host, DnsOutcome.ServFail)
-            )
+        except dnswire.DnsError as exc:
+            timed_out = isinstance(exc, TimeoutError)
+            outcome = DnsOutcome.Timeout if timed_out else DnsOutcome.ServFail
+            observations.append(DnsObservation(resolver, target.host, outcome))
             continue
         if msg.rcode == dnswire.RCODE_NOERROR and msg.answers:
             outcome, answers = DnsOutcome.Answers, tuple(msg.answers)
@@ -118,25 +114,16 @@ def tcp_step(
     return observations
 
 
-def _resolve_portal_address(config: ProbeConfig) -> str | None:
-    portal_host = config.keyword_portal.host
-    if portal_host in config.host_overrides:
-        return config.host_overrides[portal_host]
-    obs = dns_step(config.keyword_portal, config)
-    for o in obs:
-        if o.outcome is DnsOutcome.Answers:
-            return o.answers[0]
-    return None
-
-
 def keyword_step(target: TargetUrl, config: ProbeConfig) -> HttpObservation:
     """GET "/" + the full target URL on the portal host.
 
     A 404 means no URL-keyword filtering; any other status is evidence of
-    it. Raises HttpTransportError on transport failure (the caller logs it
-    and marks the step inconclusive).
+    it. The portal's address is its entry in `host_overrides`, which
+    run_campaign fills in. Raises HttpTransportError on transport failure
+    or when there is no such entry (the caller logs it and marks the step
+    inconclusive).
     """
-    portal_address = _resolve_portal_address(config)
+    portal_address = config.host_overrides.get(config.keyword_portal.host)
     if portal_address is None:
         raise httpwire.HttpTransportError("keyword portal did not resolve")
     return httpwire.fetch(
@@ -230,10 +217,11 @@ def run_campaign(
     portal_host = config.keyword_portal.host
     if portal_host not in config.host_overrides:
         # resolve the portal once for the whole campaign, into a copy of the
-        # caller's config
-        address = _resolve_portal_address(config)
-        if address is not None:
-            overrides = {**config.host_overrides, portal_host: address}
+        # caller's config: the first answer of the first resolver that gave one
+        portal_obs = dns_step(config.keyword_portal, config)
+        first = [o.answers[0] for o in portal_obs if o.outcome is DnsOutcome.Answers]
+        if first:
+            overrides = {**config.host_overrides, portal_host: first[0]}
             config = replace(config, host_overrides=overrides)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(lambda t: _run_isolated(t, config), targets))

@@ -4,7 +4,6 @@ import pytest
 
 from censorprobe.classify import (
     AmbiguousEvidence,
-    DecoyUnreachable,
     FingerprintSet,
     Reference,
     TriggerConfig,
@@ -270,5 +269,5 @@ class TestDetermineTrigger:
         config = self._config(isp302_emulator)
         config.decoy_port = 1
         config.timeout = 0.3
-        with pytest.raises(DecoyUnreachable):
+        with pytest.raises(OSError):
             determine_trigger("youtube.com", "/", "127.0.0.1", config)

@@ -262,6 +262,19 @@ MALFORMED_INPUTS = {
     "policy-body-number": (
         "policy", json.dumps({"generation": "Ixp200", "warning_body": 5}), "warning_body"
     ),
+    "probe-zero-workers": ("probe", json.dumps({**_PROBE, "workers": 0}), None),
+    "probe-negative-retries": ("probe", json.dumps({**_PROBE, "retries": -1}), None),
+    "probe-http-port-range": ("probe", json.dumps({**_PROBE, "http_port": 70000}), None),
+    "probe-resolver-port-range": (
+        "probe",
+        json.dumps({"resolvers": [{"name": "G", "address": "8.8.8.8", "port": 70000}]}),
+        "resolvers",
+    ),
+    "policy-body-file-number": (
+        "policy",
+        json.dumps({"generation": "Ixp200", "warning_body_file": 0}),
+        "warning_body_file",
+    ),
 }
 
 
@@ -417,6 +430,18 @@ def test_workers_option_overrides_probe_config(tmp_path, capsys, monkeypatch):
     assert main(argv) == EXIT_OK
     assert main([*argv, "--workers", "5"]) == EXIT_OK
     assert [c.workers for c in seen] == [3, 5]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_option_must_be_positive(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(
+        "censorprobe.probe.run_campaign", lambda targets, config: pytest.fail("probed")
+    )
+    config = _write(tmp_path / "probe.json", json.dumps(_PROBE))
+    targets = _write(tmp_path / "targets.txt", "http://a.test/\n")
+    argv = ["probe", "--targets", targets, "--config", config, "--out", "x.json"]
+    assert main([*argv, "--workers", workers]) == EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
 
 
 class TestReport:

@@ -1,3 +1,4 @@
+import re
 import socket
 import struct
 import threading
@@ -76,6 +77,50 @@ def test_query_encode_decode_round_trip(name, txid):
     assert msg.txid == txid
     assert not msg.is_response
     assert msg.qtype == dnswire.QTYPE_A
+
+
+def test_encode_name_root_and_bad_labels():
+    assert dnswire.encode_name("") == dnswire.encode_name(".") == b"\x00"
+    for name in ("a..test", "café.test", "a" * 64 + ".test"):
+        with pytest.raises(dnswire.DnsError):
+            dnswire.encode_name(name)
+
+
+# a header holding one question, then length-prefixed labels and a tail
+_questions = st.builds(
+    lambda labels, tail: struct.pack(">HHHHHH", 1, 0x0100, 1, 0, 0, 0)
+    + b"".join(bytes([len(label)]) + label for label in labels)
+    + b"\x00"
+    + tail,
+    st.lists(st.binary(min_size=1, max_size=63), max_size=4),
+    st.binary(max_size=24),
+)
+
+
+@given(st.one_of(st.binary(max_size=600), _questions))
+def test_decode_message_returns_or_raises_decode_error(data):
+    try:
+        dnswire.decode_message(data)
+    except dnswire.DnsDecodeError:
+        pass
+
+
+@given(_questions)
+def test_decoded_qname_goes_back_on_the_wire(data):
+    try:
+        msg = dnswire.decode_message(data)
+    except dnswire.DnsDecodeError:
+        return
+    reply = dnswire.encode_response(msg.txid, msg.qname, dnswire.RCODE_NXDOMAIN)
+    assert dnswire.decode_message(reply).qname == msg.qname
+
+
+# no datagram leaves: an IPv6 literal does not resolve on an IPv4 socket, and
+# a broadcast address needs SO_BROADCAST
+@pytest.mark.parametrize("address", ["2001:db8::1", "255.255.255.255"])
+def test_query_socket_error_is_dns_error_naming_the_server(address):
+    with pytest.raises(dnswire.DnsError, match=re.escape(address)):
+        dnswire.query((address, 53), "a.test", timeout=0.3)
 
 
 def test_query_timeout_bounds_a_wrong_txid_flood():

@@ -366,6 +366,17 @@ class TestDnsListener:
             assert txid == struct.unpack(">H", query[:2])[0]
             assert flags & 0x000F == dnswire.RCODE_FORMERR
 
+    def test_root_name_gets_nxdomain(self, passthrough_emulator):
+        endpoint = passthrough_emulator.dns_listeners["Google"].endpoint
+        header = struct.pack(">HHHHHH", 0xCAFE, 0x0100, 1, 0, 0, 0)
+        query = header + b"\x00" + b"\x00\x01\x00\x01"  # the root name, A, IN
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.settimeout(2)
+            sock.sendto(query, endpoint)
+            data, _ = sock.recvfrom(512)
+        msg = dnswire.decode_message(data)
+        assert (msg.txid, msg.rcode, msg.qname) == (0xCAFE, dnswire.RCODE_NXDOMAIN, "")
+
 
 def _wait_for(predicate, timeout: float = 5.0) -> None:
     deadline = time.monotonic() + timeout

@@ -3,6 +3,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from censorprobe.httpwire import HttpTransportError, _parse_response, fetch
 
@@ -10,6 +11,21 @@ from censorprobe.httpwire import HttpTransportError, _parse_response, fetch
 @pytest.mark.parametrize("status", [100, 599])
 def test_parse_response_range_ends_accepted(status):
     assert _parse_response(b"HTTP/1.1 %d X\r\n\r\n" % status)[0] == status
+
+
+# arbitrary bytes, and arbitrary heads after a status-line prefix
+_responses = st.one_of(
+    st.binary(max_size=300),
+    st.binary(max_size=80).map(lambda rest: b"HTTP/1.1 " + rest + b"\r\n\r\n"),
+)
+
+
+@given(_responses)
+def test_parse_response_returns_or_raises_transport_error(raw):
+    try:
+        _parse_response(raw)
+    except HttpTransportError:
+        pass
 
 
 @pytest.mark.parametrize("status", [999, 42])

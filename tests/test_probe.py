@@ -3,8 +3,8 @@ import threading
 
 import pytest
 
-from censorprobe import probe
-from censorprobe.model import DnsOutcome, TcpResult, parse_target
+from censorprobe import dnswire, probe
+from censorprobe.model import DnsOutcome, ResolverSpec, TcpResult, parse_target
 from censorprobe.probe import (
     ProbeConfig,
     dns_step,
@@ -21,6 +21,15 @@ from censorprobe.emulator import Generation
 
 def _obs_by_resolver(observations):
     return {o.resolver.name: o for o in observations}
+
+
+# resolvers whose query fails at the socket, before any datagram leaves:
+# gaierror for an IPv6 literal on an IPv4 socket, PermissionError for a
+# broadcast address without SO_BROADCAST
+UNREACHABLE_RESOLVERS = [
+    ResolverSpec("NoIpv4", "2001:db8::1"),
+    ResolverSpec("Broadcast", "255.255.255.255"),
+]
 
 
 class TestDnsStep:
@@ -53,6 +62,20 @@ class TestDnsStep:
         config.retries = 0
         obs = dns_step(parse_target("http://site001.test"), config)
         assert obs[0].outcome in (DnsOutcome.Timeout, DnsOutcome.ServFail)
+
+    def test_resolver_socket_error_costs_one_observation(self, passthrough_emulator):
+        config = probe_config_for(passthrough_emulator)
+        reachable = config.resolvers
+        config.resolvers = [reachable[0], *UNREACHABLE_RESOLVERS, *reachable[1:]]
+        (result,) = run_campaign([parse_target("http://site001.test")], config)
+        assert result.errors == ()
+        obs = _obs_by_resolver(result.dns)
+        assert [o.resolver for o in result.dns] == config.resolvers
+        for resolver in UNREACHABLE_RESOLVERS:
+            assert obs[resolver.name].outcome is not DnsOutcome.Answers
+        assert all(obs[r.name].outcome is DnsOutcome.Answers for r in reachable)
+        assert result.tcp and all(t.result is TcpResult.Connected for t in result.tcp)
+        assert result.keyword.status == 404 and result.http.status == 200
 
 
 class TestTcpStep:
@@ -187,6 +210,28 @@ class TestRunCampaign:
         results = run_campaign([parse_target("http://site001.test")], config)
         assert results[0].keyword is not None and results[0].keyword.status == 404
         assert config.host_overrides == before
+
+    def test_portal_lookup_survives_an_unreachable_resolver(self, passthrough_emulator):
+        config = probe_config_for(passthrough_emulator)
+        config.resolvers = [*UNREACHABLE_RESOLVERS, *config.resolvers]
+        del config.host_overrides["www.google.com"]  # the campaign resolves the portal
+        (result,) = run_campaign([parse_target("http://site001.test")], config)
+        assert result.errors == () and result.keyword.status == 404
+
+    def test_unresolved_portal_is_looked_up_once(self, passthrough_emulator, monkeypatch):
+        config = probe_config_for(passthrough_emulator)
+        config.keyword_portal = parse_target("http://no-portal.test")
+        queried = []
+        real_query = dnswire.query
+        monkeypatch.setattr(
+            dnswire, "query", lambda *a, **kw: queried.append(a[1]) or real_query(*a, **kw)
+        )
+        targets = [parse_target(f"http://site001.test/{i}") for i in range(10)]
+        results = run_campaign(targets, config)
+        assert len(queried) == len(config.resolvers) * (1 + len(targets))
+        assert queried.count("no-portal.test") == len(config.resolvers)
+        for result in results:
+            assert result.errors == ("keyword: keyword portal did not resolve",)
 
     def test_idn_target_is_probed(self):
         policy = make_policy(
