@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from . import httpwire
 from .classify import AmbiguousEvidence, FingerprintSet, classify_http
-from .model import HttpObservation, TargetUrl, parse_target
+from .model import HttpObservation, TargetUrl, check_port, parse_target
 
 CORAL_SUFFIX = ".nyud.net"
 
@@ -93,6 +93,9 @@ class CircumventionConfig:
     http_port: int = 80
     timeout: float = 10.0
     default_address: str | None = None  # fallback when a host is not in the table
+
+    def __post_init__(self):
+        check_port(self.http_port, "http_port")
 
 
 @dataclass

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import socket
 import sys
 import time
 
 from . import circumvent, dataset, emulator, httpwire, probe, report
 from .classify import FingerprintSet, Reference, classify_target
-from .model import InvalidDocument, MalformedUrl, Verdict, given_keys, parse_target
-from .model import read_document, resolver_spec
+from .model import InvalidDocument, MalformedUrl, Verdict, check_port, given_keys
+from .model import parse_target, read_document, resolver_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,7 +71,9 @@ def references(doc: dict) -> dict[str, Reference]:
 
 def clean_config(doc: dict) -> dict:
     keys = dict(collapse_hosts=set, http_port=None, host_overrides=dict, skip_liveness=bool)
-    return given_keys(doc, **keys)
+    config = given_keys(doc, **keys)
+    check_port(config.get("http_port", 80), "http_port")
+    return config
 
 
 def circumvention_config(doc: dict) -> circumvent.CircumventionConfig:
@@ -99,9 +100,7 @@ def cmd_clean(args) -> int:
     overrides = config.get("host_overrides", {})
 
     def clean_fetch(t):
-        address = overrides.get(t.host)
-        if address is None:
-            address = socket.gethostbyname(t.host)
+        address = overrides.get(t.host, t.host)  # fetch resolves a name itself
         return httpwire.fetch(address, t.host, t.request_uri(), port=http_port).status
 
     liveness = None if config.get("skip_liveness") else clean_fetch
@@ -202,8 +201,8 @@ def cmd_report(args) -> int:
     total = args.total or len(verdicts)
     try:
         run_report = report.aggregate(verdicts, total=total)
-    except report.EmptyCampaign:
-        print("error: empty campaign", file=sys.stderr)
+    except ValueError as exc:  # EmptyCampaign, or a total below the verdict count
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAMPAIGN
     print(report.render_table(run_report), end="")
     if args.out:
@@ -248,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render the summary table")
     p.add_argument("--verdicts", required=True)
-    p.add_argument("--total", type=int)
+    p.add_argument("--total", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 

@@ -155,25 +155,27 @@ def query(
 ) -> tuple[DnsMessage, float]:
     """Send an A query over UDP; returns (message, rtt seconds).
 
-    `timeout` bounds each attempt's whole wait: datagrams from another
-    source and replies with another txid are skipped, but do not extend it.
-    Raises only DnsError: DnsTimeout after the final retry, DnsDecodeError
-    on a garbled response, a DnsError for a name that cannot be encoded,
-    and one naming the server for any socket error.
+    The socket takes its family from the server's address and is connected
+    to it, so the kernel drops datagrams from any other source. `timeout`
+    bounds each attempt's whole wait: replies with another txid are
+    skipped, but do not extend it. Raises only DnsError: DnsTimeout after
+    the final retry, DnsDecodeError on a garbled response, a DnsError for a
+    name that cannot be encoded, and one naming the server for any socket
+    error, such as a closed port.
     """
+    family = socket.AF_INET6 if ":" in server[0] else socket.AF_INET
     for _ in range(retries + 1):
         txid = random.randrange(0x10000)
         try:
-            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            with socket.socket(family, socket.SOCK_DGRAM) as sock:
                 start = time.monotonic()
                 deadline = start + timeout
-                sock.sendto(encode_query(txid, qname), server)
+                sock.connect(server)
+                sock.send(encode_query(txid, qname))
                 while (remaining := deadline - time.monotonic()) > 0:
                     sock.settimeout(remaining)
-                    data, source = sock.recvfrom(4096)
+                    data = sock.recv(4096)
                     elapsed = time.monotonic() - start
-                    if source != server:
-                        continue
                     msg = decode_message(data)
                     if msg.txid == txid and msg.is_response:
                         return msg, elapsed

@@ -195,6 +195,12 @@ def is_private_ip(addr: str) -> bool:
     return any(ip in net for net in _PRIVATE_NETS)
 
 
+def check_port(port: int, name: str = "port") -> None:
+    """ValueError, naming `name`, unless `port` is in 1-65535."""
+    if not 1 <= port <= 65535:
+        raise ValueError(f"{name}: out of range: {port}")
+
+
 @dataclass(frozen=True)
 class ResolverSpec:
     """A DNS resolver identity plus its known NXDOMAIN-redirector address.
@@ -212,8 +218,7 @@ class ResolverSpec:
         ip = ipaddress.ip_address(self.address)
         if ip.is_multicast:
             raise ValueError(f"resolver address must be unicast: {self.address}")
-        if not 1 <= self.port <= 65535:
-            raise ValueError(f"port out of range: {self.port}")
+        check_port(self.port)
         if self.nxdomain_redirector is not None:
             ipaddress.ip_address(self.nxdomain_redirector)
             if self.nxdomain_redirector == self.address:
@@ -258,8 +263,7 @@ class TcpObservation:
     port: int = 80
 
     def __post_init__(self):
-        if not 1 <= self.port <= 65535:
-            raise ValueError(f"port out of range: {self.port}")
+        check_port(self.port)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ raising; results with a non-empty error log are excluded from reporting.
 
 from __future__ import annotations
 
-import errno
 import socket
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -20,6 +19,7 @@ from .model import (
     TargetUrl,
     TcpObservation,
     TcpResult,
+    check_port,
     parse_target,
 )
 
@@ -46,8 +46,7 @@ class ProbeConfig:
                 raise ValueError("timeouts must be strictly positive")
         if self.workers < 1 or self.retries < 0:
             raise ValueError("workers must be at least 1 and retries at least 0")
-        if not 1 <= self.http_port <= 65535:
-            raise ValueError(f"http_port out of range: {self.http_port}")
+        check_port(self.http_port, "http_port")
 
 
 @dataclass
@@ -89,26 +88,21 @@ def dns_step(target: TargetUrl, config: ProbeConfig) -> list[DnsObservation]:
 def tcp_step(
     addresses: list[str], port: int = 80, timeout: float = 5.0
 ) -> list[TcpObservation]:
-    """3-way handshake per address; the socket is closed immediately."""
+    """3-way handshake per address; the socket is closed immediately. The
+    socket's family follows the address, so IPv4 and IPv6 both connect."""
     observations = []
     for address in addresses:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
+        family = socket.AF_INET6 if ":" in address else socket.AF_INET
         try:
-            code = sock.connect_ex((address, port))
-        except socket.timeout:
-            code = errno.ETIMEDOUT
-        except OSError as exc:
-            code = exc.errno or errno.EHOSTUNREACH
-        finally:
-            sock.close()
-        if code == 0:
+            with socket.socket(family, socket.SOCK_STREAM) as sock:
+                sock.settimeout(timeout)
+                sock.connect((address, port))
             result = TcpResult.Connected
-        elif code == errno.ECONNREFUSED:
+        except ConnectionRefusedError:
             result = TcpResult.Refused
-        elif code in (errno.ETIMEDOUT, errno.EAGAIN, errno.EINPROGRESS):
+        except TimeoutError:
             result = TcpResult.TimedOut
-        else:
+        except OSError:
             result = TcpResult.Unreachable
         observations.append(TcpObservation(address, result, port))
     return observations
@@ -217,11 +211,10 @@ def run_campaign(
     portal_host = config.keyword_portal.host
     if portal_host not in config.host_overrides:
         # resolve the portal once for the whole campaign, into a copy of the
-        # caller's config: the first answer of the first resolver that gave one
-        portal_obs = dns_step(config.keyword_portal, config)
-        first = [o.answers[0] for o in portal_obs if o.outcome is DnsOutcome.Answers]
-        if first:
-            overrides = {**config.host_overrides, portal_host: first[0]}
+        # caller's config, by the targets' rule: no redirector answer
+        portal = genuine_addresses(dns_step(config.keyword_portal, config))[:1]
+        if portal:
+            overrides = {**config.host_overrides, portal_host: portal[0]}
             config = replace(config, host_overrides=overrides)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(lambda t: _run_isolated(t, config), targets))

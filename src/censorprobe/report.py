@@ -34,14 +34,6 @@ MECHANISM_LABELS = {
     Mechanism.Http200Injection: "HTTP (200)",
 }
 
-MECHANISM_ORDER = [
-    Mechanism.DnsInjection,
-    Mechanism.IpBlock,
-    Mechanism.UrlKeyword,
-    Mechanism.Http302Redirect,
-    Mechanism.Http200Injection,
-]
-
 
 class EmptyCampaign(ValueError):
     pass
@@ -71,8 +63,8 @@ def aggregate(verdicts: list[Verdict], total: int, error_logged: int = 0) -> Run
     if total == 0:
         raise EmptyCampaign("total of zero targets")
     if total < len(verdicts):
-        raise ValueError("total smaller than verdict count")
-    counts = {m: 0 for m in MECHANISM_ORDER}
+        raise ValueError(f"total {total} smaller than verdict count {len(verdicts)}")
+    counts = dict.fromkeys(MECHANISM_LABELS, 0)
     blocked = 0
     inconclusive = 0
     for v in verdicts:
@@ -96,8 +88,8 @@ def aggregate(verdicts: list[Verdict], total: int, error_logged: int = 0) -> Run
 def render_table(report: RunReport) -> str:
     """Fixed-column text table, one row per mechanism plus a Total row."""
     rows = [("Mechanism", "No. of Affected Sites", "Percent")]
-    for m in MECHANISM_ORDER:
-        rows.append((MECHANISM_LABELS[m], str(report.counts[m]), str(report.percents[m])))
+    for m, label in MECHANISM_LABELS.items():
+        rows.append((label, str(report.counts[m]), str(report.percents[m])))
     rows.append(("Total", str(report.blocked_total), str(report.blocked_percent)))
     widths = [max(len(r[i]) for r in rows) for i in range(3)]
     lines = []

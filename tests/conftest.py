@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import socket
+import threading
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from censorprobe import dnswire
 from censorprobe.classify import FingerprintSet
 from censorprobe.emulator import CensorPolicy, Emulator, Generation
 from censorprobe.model import PUBLIC_RESOLVERS, ResolverSpec, parse_target
@@ -46,6 +49,7 @@ def make_policy(
     http_host_rules=(),
     http_host_uri_rules=(),
     live_hosts=(),
+    resolver_map=TEST_RESOLVERS,
     **kwargs,
 ) -> CensorPolicy:
     zone = tuple((h, ("127.0.0.1",)) for h in live_hosts)
@@ -54,7 +58,7 @@ def make_policy(
         dns_rules=tuple(dns_rules),
         http_host_rules=tuple(http_host_rules),
         http_host_uri_rules=tuple(http_host_uri_rules),
-        resolver_map=TEST_RESOLVERS,
+        resolver_map=tuple(resolver_map),
         zone=zone,
         **kwargs,
     )
@@ -92,6 +96,39 @@ def probe_config_for(emu: Emulator, fast: bool = True) -> ProbeConfig:
         host_overrides=overrides,
         http_port=proxy_port,
     )
+
+
+def ipv6_loopback_socket(kind: int) -> socket.socket:
+    """A socket bound to a free port on ::1; skips the test where ::1
+    cannot be bound."""
+    try:
+        sock = socket.socket(socket.AF_INET6, kind)
+    except OSError as exc:
+        pytest.skip(f"no IPv6 socket here: {exc}")
+    try:
+        sock.bind(("::1", 0))
+    except OSError as exc:
+        sock.close()
+        pytest.skip(f"::1 cannot be bound here: {exc}")
+    return sock
+
+
+def answer_one_query(sock: socket.socket, address: str = "1.2.3.4") -> threading.Thread:
+    """A started thread that answers the first A query on `sock` with
+    `address`; join it before closing `sock`."""
+
+    def answer():
+        data, client = sock.recvfrom(512)
+        msg = dnswire.decode_message(data)
+        reply = dnswire.encode_response(
+            msg.txid, msg.qname, dnswire.RCODE_NOERROR, [address]
+        )
+        sock.sendto(reply, client)
+
+    sock.settimeout(5)
+    peer = threading.Thread(target=answer)
+    peer.start()
+    return peer
 
 
 def fingerprints_for(policy: CensorPolicy) -> FingerprintSet:

@@ -189,6 +189,17 @@ class TestProbeAndClassify:
         }
 
 
+@pytest.mark.parametrize(
+    "total, code", [("-1", EXIT_USAGE), ("0", EXIT_USAGE), ("1", EXIT_CAMPAIGN)]
+)
+def test_report_total_is_checked(tmp_path, capsys, total, code):
+    verdicts = str(tmp_path / "verdicts.json")
+    targets = [parse_target("http://a.test/"), parse_target("http://b.test/")]
+    report.emit([Verdict(target=t, mechanisms=frozenset()) for t in targets], verdicts)
+    assert main(["report", "--verdicts", verdicts, "--total", total]) == code
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
 _TARGET = parse_target("http://a.test/")
 _STORED = {
     "results": [TargetProbeResult(target=_TARGET)],
@@ -269,6 +280,10 @@ MALFORMED_INPUTS = {
         "probe",
         json.dumps({"resolvers": [{"name": "G", "address": "8.8.8.8", "port": 70000}]}),
         "resolvers",
+    ),
+    "clean-http-port-range": ("clean", json.dumps({"http_port": 70000}), "http_port"),
+    "circumvent-http-port-range": (
+        "circumvent", json.dumps({"methods": ["CoralCdn"], "http_port": 70000}), "http_port"
     ),
     "policy-body-file-number": (
         "policy",

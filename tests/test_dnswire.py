@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from censorprobe import dnswire
 
+from conftest import answer_one_query, ipv6_loopback_socket
+
 
 def test_encode_query_layout():
     raw = dnswire.encode_query(0x1234, "www.example.com")
@@ -115,12 +117,14 @@ def test_decoded_qname_goes_back_on_the_wire(data):
     assert dnswire.decode_message(reply).qname == msg.qname
 
 
-# no datagram leaves: an IPv6 literal does not resolve on an IPv4 socket, and
-# a broadcast address needs SO_BROADCAST
-@pytest.mark.parametrize("address", ["2001:db8::1", "255.255.255.255"])
-def test_query_socket_error_is_dns_error_naming_the_server(address):
-    with pytest.raises(dnswire.DnsError, match=re.escape(address)):
-        dnswire.query((address, 53), "a.test", timeout=0.3)
+# both fail at once: nothing listens on a closed loopback port, and a
+# broadcast address needs SO_BROADCAST
+@pytest.mark.parametrize(
+    "server", [("127.0.0.1", 1), ("255.255.255.255", 53)], ids=lambda server: server[0]
+)
+def test_query_socket_error_is_dns_error_naming_the_server(server):
+    with pytest.raises(dnswire.DnsError, match=re.escape(f"{server[0]}:{server[1]}")):
+        dnswire.query(server, "a.test", timeout=0.3)
 
 
 def test_query_timeout_bounds_a_wrong_txid_flood():
@@ -188,3 +192,13 @@ def test_query_skips_datagrams_from_another_source():
         finally:
             peer.join(timeout=10)
         assert msg.answers == ["1.2.3.4"]
+
+
+def test_query_reaches_an_ipv6_resolver():
+    with ipv6_loopback_socket(socket.SOCK_DGRAM) as server:
+        peer = answer_one_query(server)
+        try:
+            msg, _ = dnswire.query(server.getsockname()[:2], "a.test", timeout=2)
+        finally:
+            peer.join(timeout=10)
+    assert msg.answers == ["1.2.3.4"]

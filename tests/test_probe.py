@@ -1,10 +1,19 @@
 import socket
 import threading
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from censorprobe import dnswire, probe
-from censorprobe.model import DnsOutcome, ResolverSpec, TcpResult, parse_target
+from censorprobe import dnswire, httpwire, probe
+from censorprobe.classify import classify_target
+from censorprobe.model import (
+    DnsOutcome,
+    Mechanism,
+    ResolverSpec,
+    TcpResult,
+    parse_target,
+)
 from censorprobe.probe import (
     ProbeConfig,
     dns_step,
@@ -15,7 +24,15 @@ from censorprobe.probe import (
     tcp_step,
 )
 
-from conftest import make_policy, probe_config_for, start_emulator
+from conftest import (
+    TEST_RESOLVERS,
+    answer_one_query,
+    fingerprints_for,
+    ipv6_loopback_socket,
+    make_policy,
+    probe_config_for,
+    start_emulator,
+)
 from censorprobe.emulator import Generation
 
 
@@ -23,11 +40,11 @@ def _obs_by_resolver(observations):
     return {o.resolver.name: o for o in observations}
 
 
-# resolvers whose query fails at the socket, before any datagram leaves:
-# gaierror for an IPv6 literal on an IPv4 socket, PermissionError for a
-# broadcast address without SO_BROADCAST
+# resolvers whose query fails at the socket at once: ConnectionRefusedError
+# for a closed loopback port, PermissionError for a broadcast address
+# without SO_BROADCAST
 UNREACHABLE_RESOLVERS = [
-    ResolverSpec("NoIpv4", "2001:db8::1"),
+    ResolverSpec("ClosedPort", "127.0.0.1", port=1),
     ResolverSpec("Broadcast", "255.255.255.255"),
 ]
 
@@ -63,6 +80,17 @@ class TestDnsStep:
         obs = dns_step(parse_target("http://site001.test"), config)
         assert obs[0].outcome in (DnsOutcome.Timeout, DnsOutcome.ServFail)
 
+    def test_ipv6_resolver_answers(self):
+        with ipv6_loopback_socket(socket.SOCK_DGRAM) as server:
+            resolver = ResolverSpec("Loopback6", "::1", port=server.getsockname()[1])
+            config = ProbeConfig(resolvers=[resolver], dns_timeout_ms=2000, retries=0)
+            peer = answer_one_query(server)
+            try:
+                (obs,) = dns_step(parse_target("http://a.test"), config)
+            finally:
+                peer.join(timeout=10)
+        assert obs.outcome is DnsOutcome.Answers and obs.answers == ("1.2.3.4",)
+
     def test_resolver_socket_error_costs_one_observation(self, passthrough_emulator):
         config = probe_config_for(passthrough_emulator)
         reachable = config.resolvers
@@ -82,6 +110,12 @@ class TestTcpStep:
     def test_listener_connects(self, passthrough_emulator):
         port = passthrough_emulator.proxy.endpoint[1]
         obs = tcp_step(["127.0.0.1"], port=port, timeout=2)
+        assert obs[0].result is TcpResult.Connected
+
+    def test_ipv6_listener_connects(self):
+        with ipv6_loopback_socket(socket.SOCK_STREAM) as listener:
+            listener.listen()
+            obs = tcp_step(["::1"], port=listener.getsockname()[1], timeout=2)
         assert obs[0].result is TcpResult.Connected
 
     def test_refused_on_closed_loopback_port(self):
@@ -233,6 +267,32 @@ class TestRunCampaign:
         for result in results:
             assert result.errors == ("keyword: keyword portal did not resolve",)
 
+    def test_dns_blocked_portal_is_not_a_redirector(self, monkeypatch):
+        policy = make_policy(
+            Generation.Isp302,
+            dns_rules=("www.google.com",),
+            http_host_rules=("www.google.com",),
+            live_hosts=("site001.test", "www.google.com"),
+        )
+        redirectors = {r.nxdomain_redirector for r in TEST_RESOLVERS} - {None}
+        fetched = []
+        real_fetch = httpwire.fetch
+
+        def fetch(address, *args, **kwargs):
+            fetched.append(address)
+            if address in redirectors:  # a redirector is not on this machine
+                raise httpwire.HttpTransportError(f"{address} is a redirector")
+            return real_fetch(address, *args, **kwargs)
+
+        monkeypatch.setattr(httpwire, "fetch", fetch)
+        with start_emulator(policy) as emu:
+            config = probe_config_for(emu)
+            del config.host_overrides["www.google.com"]  # the campaign resolves it
+            (result,) = run_campaign([parse_target("http://site001.test")], config)
+        assert not redirectors & set(fetched)
+        assert result.errors == ("keyword: keyword portal did not resolve",)
+        assert result.http.status == 200
+
     def test_idn_target_is_probed(self):
         policy = make_policy(
             Generation.PassThrough, live_hosts=("xn--bcher-kva.test", "www.google.com")
@@ -294,3 +354,108 @@ class TestRunCampaign:
             assert results[0].errors == ()
             assert results[1].errors != ()
             assert any("http" in e for e in results[1].errors)
+
+
+# --- random deployments: every verdict equals what the policy implies --------
+
+PORTAL = "www.google.com"
+_HOSTS = ("a.test", "b.a.test", "c.b.a.test", "d.test")
+_PATTERNS = st.sampled_from((*_HOSTS, "*.a.test", "*.b.a.test"))
+_HTTP_MECHANISM = {
+    Generation.Isp302: Mechanism.Http302Redirect,
+    Generation.Ixp200: Mechanism.Http200Injection,
+}
+
+
+def _matches(pattern: str, host: str) -> bool:
+    if pattern.startswith("*."):
+        return host.endswith(pattern[1:])
+    return host == pattern
+
+
+class _Oracle:
+    """What a policy's rules imply; the middlebox of PassThrough censors
+    nothing, and its DNS rules still apply."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.redirecting = any(r.nxdomain_redirector for r in policy.resolver_map)
+        listed = [*policy.http_host_rules, *(p for p, _ in policy.http_host_uri_rules)]
+        self.keywords = {p.removeprefix("*.") for p in listed}
+
+    def dns_blocked(self, host: str) -> bool:
+        return any(_matches(p, host) for p in self.policy.dns_rules)
+
+    def censored(self, host: str, uri: str) -> bool:
+        policy = self.policy
+        if policy.generation is Generation.PassThrough:
+            return False
+        return (
+            any(_matches(p, host) and n in uri for p, n in policy.http_host_uri_rules)
+            or any(_matches(p, host) for p in policy.http_host_rules)
+            or policy.keyword_portal_interception and any(k in uri for k in self.keywords)
+        )
+
+    def expected(self, target) -> frozenset:
+        out = set()
+        if self.redirecting and self.dns_blocked(target.host):
+            out.add(Mechanism.DnsInjection)
+        if self.censored(PORTAL, "/" + target.render()):
+            out.add(Mechanism.UrlKeyword)
+        if self.censored(target.host, target.request_uri()):
+            out.add(_HTTP_MECHANISM[self.policy.generation])
+        return frozenset(out)
+
+
+@st.composite
+def _deployments(draw):
+    host_rules = draw(st.lists(_PATTERNS, unique=True, max_size=3))
+    uri_rules = draw(
+        st.lists(st.tuples(_PATTERNS, st.sampled_from(("tok", "d.test"))), max_size=2)
+    )
+    ruled = sorted({*host_rules, *(p for p, _ in uri_rules)})
+    dns_rules = draw(st.lists(st.sampled_from(ruled), unique=True)) if ruled else []
+    portal_blocked, portal_listed = draw(st.booleans()), draw(st.booleans())
+    if portal_blocked:
+        dns_rules.append(PORTAL)
+        host_rules.append(PORTAL)
+    resolvers = draw(st.permutations(TEST_RESOLVERS))
+    resolvers = resolvers[: draw(st.integers(1, len(resolvers)))]
+    policy = make_policy(
+        draw(st.sampled_from(Generation)),
+        dns_rules=dns_rules,
+        http_host_rules=host_rules,
+        http_host_uri_rules=uri_rules,
+        live_hosts=(*_HOSTS, PORTAL),
+        resolver_map=[replace(r, address="127.0.0.1") for r in resolvers],
+        keyword_portal_interception=draw(st.booleans()),
+    )
+    paths = st.sampled_from(("/", "/v/tok", "/x/d.test"))
+    targets = draw(st.dictionaries(st.sampled_from(_HOSTS), paths, min_size=1))
+    return policy, [parse_target(f"http://{h}{p}") for h, p in targets.items()], portal_listed
+
+
+@settings(max_examples=25)
+@given(_deployments())
+def test_random_deployment_verdicts_match_the_policy(deployment):
+    policy, targets, portal_listed = deployment
+    oracle = _Oracle(policy)
+    with start_emulator(policy) as emu:
+        config = probe_config_for(emu)
+        # a DNS-blocked host's address comes from an out-of-band lookup
+        hosts = [t.host for t in targets if oracle.dns_blocked(t.host)]
+        if portal_listed:
+            hosts.append(PORTAL)
+        config.host_overrides = dict.fromkeys(hosts, emu.proxy.endpoint[0])
+        results = run_campaign(targets, config)
+    portal_unreachable = oracle.dns_blocked(PORTAL) and not portal_listed
+    assert {r.target: r.errors for r in results if r.errors} == (
+        dict.fromkeys(targets, ("keyword: keyword portal did not resolve",))
+        if portal_unreachable
+        else {}
+    )
+    fingerprints = fingerprints_for(policy)
+    for result in results:
+        if not result.errors:
+            verdict = classify_target(result, fingerprints)
+            assert verdict.mechanisms == oracle.expected(result.target), result
