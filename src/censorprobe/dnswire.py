@@ -10,6 +10,7 @@ import random
 import socket
 import struct
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 QTYPE_A = 1
@@ -150,39 +151,61 @@ def encode_response(
     return bytes(body)
 
 
+def connect(server: tuple[str, int]) -> socket.socket:
+    """A UDP socket of the server's family, connected to it, so the kernel
+    drops datagrams from any other source. Raises a DnsError naming the
+    server when the socket cannot be opened, as for a broadcast address."""
+    family = socket.AF_INET6 if ":" in server[0] else socket.AF_INET
+    try:
+        sock = socket.socket(family, socket.SOCK_DGRAM)
+    except OSError as exc:
+        raise DnsError(f"{server[0]}:{server[1]}: {exc}") from exc
+    try:
+        sock.connect(server)
+    except OSError as exc:
+        sock.close()
+        raise DnsError(f"{server[0]}:{server[1]}: {exc}") from exc
+    return sock
+
+
 def query(
-    server: tuple[str, int], qname: str, timeout: float, retries: int = 0
+    server: tuple[str, int],
+    qname: str,
+    timeout: float,
+    retries: int = 0,
+    sock: socket.socket | None = None,
 ) -> tuple[DnsMessage, float]:
     """Send an A query over UDP; returns (message, rtt seconds).
 
-    The socket takes its family from the server's address and is connected
-    to it, so the kernel drops datagrams from any other source. `timeout`
-    bounds each attempt's whole wait: replies with another txid are
-    skipped, but do not extend it. Raises only DnsError: DnsTimeout after
-    the final retry, DnsDecodeError on a garbled response, a DnsError for a
-    name that cannot be encoded, and one naming the server for any socket
-    error, such as a closed port.
+    `sock` is a socket from connect(server) that the caller keeps for many
+    queries; without one, the query opens its own and closes it. A reply
+    counts only when its txid, QR bit and question name match the query's,
+    so a late reply to an earlier query on the same socket is skipped.
+    `timeout` bounds each attempt's whole wait: skipped datagrams do not
+    extend it. Raises only DnsError: DnsTimeout after the final retry,
+    DnsDecodeError on a garbled response, a DnsError for a name that cannot
+    be encoded, and one naming the server for any socket error, such as a
+    closed port.
     """
-    family = socket.AF_INET6 if ":" in server[0] else socket.AF_INET
-    for _ in range(retries + 1):
-        txid = random.randrange(0x10000)
-        try:
-            with socket.socket(family, socket.SOCK_DGRAM) as sock:
+    asked = qname.rstrip(".").lower()
+    with nullcontext(sock) if sock is not None else connect(server) as sock:
+        for _ in range(retries + 1):
+            txid = random.randrange(0x10000)
+            try:
                 start = time.monotonic()
                 deadline = start + timeout
-                sock.connect(server)
                 sock.send(encode_query(txid, qname))
                 while (remaining := deadline - time.monotonic()) > 0:
                     sock.settimeout(remaining)
                     data = sock.recv(4096)
                     elapsed = time.monotonic() - start
                     msg = decode_message(data)
-                    if msg.txid == txid and msg.is_response:
+                    if msg.txid == txid and msg.is_response and msg.qname.lower() == asked:
                         return msg, elapsed
-        except TimeoutError:
-            pass  # the next attempt
-        except DnsError:
-            raise
-        except OSError as exc:
-            raise DnsError(f"{server[0]}:{server[1]}: {exc}") from exc
+            except TimeoutError:
+                pass  # the next attempt
+            except DnsError:
+                raise
+            except OSError as exc:
+                raise DnsError(f"{server[0]}:{server[1]}: {exc}") from exc
     raise DnsTimeout(f"no reply from {server[0]}:{server[1]} in {retries + 1} attempts")

@@ -35,12 +35,16 @@ class Generation(enum.Enum):
     Ixp200 = "Ixp200"
 
 
-def match_host(pattern: str, host: str) -> bool:
-    """Exact match, or leading-wildcard suffix match ("*.example.com")."""
-    if pattern.startswith("*."):
-        suffix = pattern[1:]  # ".example.com"
-        return host.endswith(suffix) and len(host) > len(suffix)
-    return host == pattern
+def _host_patterns(host: str) -> list[str]:
+    """Every rule text that matches host: host itself, then "*" + each suffix
+    of host that starts at a dot past its first character. So "*.x" matches
+    strict subdomains of x only, and a leading-dot host no wildcard."""
+    patterns = [host]
+    dot = host.find(".", 1)
+    while dot != -1:
+        patterns.append("*" + host[dot:])
+        dot = host.find(".", dot + 1)
+    return patterns
 
 
 def _pattern_base(pattern: str) -> str:
@@ -72,36 +76,84 @@ class CensorPolicy:
         if self.generation is Generation.Isp302 and not is_private_ip(self.redirect_host):
             reason = f"{self.redirect_host!r} is not a private IPv4 address"
             raise InvalidDocument(reason, "redirect_host")
-        # distinct listed base names for keyword interception, in rule order:
-        # host rules, then URI rules
+        # Lookup indexes, built once; they are not fields, so equality, repr
+        # and replace() see only the rules. A lookup lists the rule texts
+        # that match a host (_host_patterns) and takes the first-listed rule.
+        host_rules: dict[str, int] = {}
+        for i, pattern in enumerate(self.http_host_rules):
+            host_rules.setdefault(pattern, i)
+        uri_rules: dict[str, list[tuple[int, str]]] = {}
+        for i, (pattern, needle) in enumerate(self.http_host_uri_rules):
+            uri_rules.setdefault(pattern, []).append((i, needle))
+        # distinct listed base names for keyword interception, in rule order
+        # (host rules, then URI rules), bucketed by their first `width`
+        # characters, where `width` is the shortest name's length
         names = [*self.http_host_rules, *(p for p, _ in self.http_host_uri_rules)]
-        keyword_names = tuple(dict.fromkeys(_pattern_base(p) for p in names))
-        object.__setattr__(self, "_keyword_names", keyword_names)
+        keyword_names = list(dict.fromkeys(_pattern_base(p) for p in names))
+        width = min(map(len, keyword_names), default=0)
+        keywords: dict[str, list[tuple[int, str]]] = {}
+        for i, name in enumerate(keyword_names):
+            keywords.setdefault(name[:width], []).append((i, name))
+        for name, value in (
+            ("_dns_rules", frozenset(self.dns_rules)),
+            ("_blackhole_hosts", frozenset(self.blackhole_hosts)),
+            ("_host_rules", host_rules),
+            ("_uri_rules", uri_rules),
+            ("_keyword_width", width),
+            ("_keywords", keywords),
+            ("_zone", dict(reversed(self.zone))),  # the first entry of a name wins
+        ):
+            object.__setattr__(self, name, value)
 
     def zone_lookup(self, host: str) -> tuple[str, ...] | None:
-        for name, addrs in self.zone:
-            if name == host:
-                return addrs
-        return None
+        return self._zone.get(host)
 
     def matched_rule(self, host: str, uri: str) -> str | None:
-        """Rule id string when (host, uri) is censored, else None."""
+        """Rule id string when (host, uri) is censored, else None.
+
+        URI rules come before host rules, and host rules before keyword
+        interception; within each, the first-listed matching rule wins.
+        """
         if self.generation is Generation.PassThrough:
             return None
-        for pattern, needle in self.http_host_uri_rules:
-            if match_host(pattern, host) and needle in uri:
-                return f"uri:{pattern}"
-        for pattern in self.http_host_rules:
-            if match_host(pattern, host):
-                return f"host:{pattern}"
+        patterns = _host_patterns(host)
+        uri_hits = []
+        for pattern in patterns:
+            for i, needle in self._uri_rules.get(pattern, ()):
+                if needle in uri:
+                    uri_hits.append((i, pattern))
+                    break
+        if uri_hits:
+            return f"uri:{min(uri_hits)[1]}"
+        host_hits = [p for p in patterns if p in self._host_rules]
+        if host_hits:
+            return f"host:{min(host_hits, key=self._host_rules.__getitem__)}"
         if self.keyword_portal_interception:
-            for name in self._keyword_names:
-                if name in uri:
-                    return f"keyword:{name}"
+            name = self._first_keyword(uri)
+            if name is not None:
+                return f"keyword:{name}"
         return None
 
+    def _first_keyword(self, uri: str) -> str | None:
+        """The first-listed keyword name found in uri. A name found at a
+        position starts with the uri's `width` characters there, so only
+        that bucket (kept in list order) can hold it."""
+        width = self._keyword_width
+        best: tuple[int, str] | None = None
+        for start in range(len(uri) - width + 1):
+            for i, name in self._keywords.get(uri[start : start + width], ()):
+                if best is not None and i >= best[0]:
+                    break
+                if uri.startswith(name, start):
+                    best = (i, name)
+                    break
+        return best[1] if best else None
+
     def dns_blocked(self, qname: str) -> bool:
-        return any(match_host(p, qname) for p in self.dns_rules)
+        return any(p in self._dns_rules for p in _host_patterns(qname))
+
+    def blackholed(self, host: str) -> bool:
+        return any(p in self._blackhole_hosts for p in _host_patterns(host))
 
 
 def _str_list(value) -> tuple[str, ...]:
@@ -225,7 +277,8 @@ class DnsListener(asyncio.DatagramProtocol):
                 # header-only FORMERR; the question was not decodable
                 self.transport.sendto(data[:2] + b"\x81\x81" + b"\x00" * 8, addr)
             return
-        kind, addrs = handle_dns(self.policy, msg.qname, self.resolver)
+        # names are case-insensitive (RFC 4343); the reply echoes the question as sent
+        kind, addrs = handle_dns(self.policy, msg.qname.lower(), self.resolver)
         rcode = dnswire.RCODE_NOERROR if kind == "A" else dnswire.RCODE_NXDOMAIN
         reply = dnswire.encode_response(msg.txid, msg.qname, rcode, addrs)
         self.transport.sendto(reply, addr)
@@ -382,7 +435,7 @@ class CensorHttpProxy(_HttpListener):
 
     def handle(self, conn: _HttpConnection, uri: str, host: str) -> None:
         policy = self.policy
-        if any(match_host(p, host) for p in policy.blackhole_hosts):
+        if policy.blackholed(host):
             conn.note("out", "<blackhole>")
             loop = asyncio.get_running_loop()
             conn.pending = loop.call_later(self.blackhole_delay, conn.transport.close)

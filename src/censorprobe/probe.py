@@ -7,7 +7,9 @@ raising; results with a non-empty error log are excluded from reporting.
 from __future__ import annotations
 
 import socket
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 from . import dnswire, httpwire
@@ -59,14 +61,21 @@ class TargetProbeResult:
     errors: tuple[str, ...] = ()
 
 
+# the resolver sockets of the campaign worker running on this thread
+_worker = threading.local()
+
+
 def dns_step(target: TargetUrl, config: ProbeConfig) -> list[DnsObservation]:
-    """One A lookup per configured resolver; failures become outcomes."""
+    """One A lookup per configured resolver; failures become outcomes.
+    Inside a campaign worker, each lookup uses the worker's socket."""
+    sockets = getattr(_worker, "sockets", {})
     observations = []
     for resolver in config.resolvers:
+        server = (resolver.address, resolver.port)
         try:
             msg, rtt = dnswire.query(
-                (resolver.address, resolver.port), target.host,
-                timeout=config.dns_timeout_ms / 1000.0, retries=config.retries,
+                server, target.host, timeout=config.dns_timeout_ms / 1000.0,
+                retries=config.retries, sock=sockets.get(server),
             )
         except dnswire.DnsError as exc:
             timed_out = isinstance(exc, TimeoutError)
@@ -203,8 +212,10 @@ def run_campaign(
 ) -> list[TargetProbeResult]:
     """One pass over the target list; output order equals input order.
 
-    No target can lose the campaign: an exception raised while probing one
-    becomes an error-log entry on its result.
+    At most `workers` worker threads take the targets in turn; each keeps
+    one socket per resolver for the whole campaign. No target can lose the
+    campaign: an exception raised while probing one becomes an error-log
+    entry on its result.
     """
     if not targets:
         return []
@@ -216,5 +227,34 @@ def run_campaign(
         if portal:
             overrides = {**config.host_overrides, portal_host: portal[0]}
             config = replace(config, host_overrides=overrides)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(lambda t: _run_isolated(t, config), targets))
+    results: list[TargetProbeResult | None] = [None] * len(targets)
+    pending = iter(enumerate(targets))
+    lock = threading.Lock()
+
+    def work() -> None:
+        # one connected socket per resolver address for this worker's life; a
+        # resolver whose socket cannot be opened gets none, so each of its
+        # queries opens its own, fails, and costs one ServFail observation
+        sockets = _worker.sockets = {}
+        try:
+            for resolver in config.resolvers:
+                server = (resolver.address, resolver.port)
+                if server not in sockets:
+                    with suppress(dnswire.DnsError):
+                        sockets[server] = dnswire.connect(server)
+            while True:
+                with lock:
+                    item = next(pending, None)
+                if item is None:
+                    return
+                results[item[0]] = _run_isolated(item[1], config)
+        finally:
+            del _worker.sockets
+            for sock in sockets.values():
+                sock.close()
+
+    workers = min(config.workers, len(targets))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for done in [pool.submit(work) for _ in range(workers)]:
+            done.result()
+    return results

@@ -202,3 +202,26 @@ def test_query_reaches_an_ipv6_resolver():
         finally:
             peer.join(timeout=10)
     assert msg.answers == ["1.2.3.4"]
+
+
+def test_late_reply_to_an_earlier_query_on_the_socket_is_skipped(monkeypatch):
+    # every query gets the same txid, so only the question tells the late
+    # reply to the first query from the reply to the second
+    monkeypatch.setattr(dnswire.random, "randrange", lambda _: 0x1234)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as server:
+        server.bind(("127.0.0.1", 0))
+        address = server.getsockname()
+        with dnswire.connect(address) as sock:
+            with pytest.raises(dnswire.DnsTimeout):
+                dnswire.query(address, "one.test", timeout=0.05, sock=sock)
+            data, client = server.recvfrom(512)
+            late = dnswire.encode_response(
+                dnswire.decode_message(data).txid, "one.test", dnswire.RCODE_NOERROR, ["6.6.6.6"]
+            )
+            server.sendto(late, client)
+            peer = answer_one_query(server)
+            try:
+                msg, _ = dnswire.query(address, "two.test", timeout=2, sock=sock)
+            finally:
+                peer.join(timeout=10)
+    assert (msg.txid, msg.qname, msg.answers) == (0x1234, "two.test", ["1.2.3.4"])

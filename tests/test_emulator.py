@@ -6,6 +6,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from censorprobe import dnswire, httpwire
 from censorprobe.emulator import (
@@ -15,7 +16,6 @@ from censorprobe.emulator import (
     OriginStub,
     handle_dns,
     load_policy,
-    match_host,
     serve_warning_site,
 )
 from censorprobe.classify import classify_target
@@ -39,15 +39,121 @@ from conftest import (
 RESOLVERS = {r.name: r for r in PUBLIC_RESOLVERS}
 
 
+def match_host(pattern: str, host: str) -> bool:
+    """Exact match, or leading-wildcard suffix match ("*.example.com")."""
+    if pattern.startswith("*."):
+        suffix = pattern[1:]  # ".example.com"
+        return host.endswith(suffix) and len(host) > len(suffix)
+    return host == pattern
+
+
+class LinearPolicy:
+    """Scans every rule in list order on every lookup, as CensorPolicy did
+    before it built indexes: the oracle of the differential test below."""
+
+    def __init__(self, policy: CensorPolicy):
+        self.policy = policy
+        names = [*policy.http_host_rules, *(p for p, _ in policy.http_host_uri_rules)]
+        self.keyword_names = tuple(
+            dict.fromkeys(p[2:] if p.startswith("*.") else p for p in names)
+        )
+
+    def zone_lookup(self, host: str):
+        for name, addrs in self.policy.zone:
+            if name == host:
+                return addrs
+        return None
+
+    def matched_rule(self, host: str, uri: str):
+        policy = self.policy
+        if policy.generation is Generation.PassThrough:
+            return None
+        for pattern, needle in policy.http_host_uri_rules:
+            if match_host(pattern, host) and needle in uri:
+                return f"uri:{pattern}"
+        for pattern in policy.http_host_rules:
+            if match_host(pattern, host):
+                return f"host:{pattern}"
+        if policy.keyword_portal_interception:
+            for name in self.keyword_names:
+                if name in uri:
+                    return f"keyword:{name}"
+        return None
+
+    def dns_blocked(self, qname: str) -> bool:
+        return any(match_host(p, qname) for p in self.policy.dns_rules)
+
+    def blackholed(self, host: str) -> bool:
+        return any(match_host(p, host) for p in self.policy.blackhole_hosts)
+
+
+# few short labels, so rules collide, nest and repeat; "" gives empty labels
+_names = st.lists(st.sampled_from(["a", "b", "ab", "", "*"]), max_size=4).map(".".join)
+_patterns = st.one_of(_names, _names.map("*.".__add__))
+_hosts = st.one_of(_names, _names.map(".".__add__))
+_uris = st.text(alphabet="ab.*/", max_size=14)
+
+
+@st.composite
+def _policies(draw) -> CensorPolicy:
+    host_rules = draw(st.lists(_patterns, max_size=8))
+    needles = st.sampled_from(["a", "b/", "/ab", ""])
+    uri_rules = draw(st.lists(st.tuples(_patterns, needles), max_size=8))
+    http_hosts = [*host_rules, *(p for p, _ in uri_rules)]
+    dns_rules = draw(st.lists(st.sampled_from(http_hosts), max_size=6)) if http_hosts else []
+    zone = [(name, (f"10.0.0.{i}",)) for i, name in enumerate(draw(st.lists(_names, max_size=6)))]
+    return CensorPolicy(
+        generation=draw(st.sampled_from(Generation)),
+        dns_rules=tuple(dns_rules),
+        http_host_rules=tuple(host_rules),
+        http_host_uri_rules=tuple(uri_rules),
+        keyword_portal_interception=draw(st.booleans()),
+        zone=tuple(zone),
+        blackhole_hosts=tuple(draw(st.lists(_patterns, max_size=4))),
+    )
+
+
+@settings(max_examples=100)
+@given(_policies(), st.lists(st.tuples(_hosts, _uris), min_size=1, max_size=12))
+def test_indexed_policy_matches_the_linear_scans(policy, requests):
+    oracle = LinearPolicy(policy)
+    for host, uri in requests:
+        assert policy.matched_rule(host, uri) == oracle.matched_rule(host, uri)
+        assert policy.dns_blocked(host) == oracle.dns_blocked(host)
+        assert policy.zone_lookup(host) == oracle.zone_lookup(host)
+        assert policy.blackholed(host) == oracle.blackholed(host)
+
+
 class TestMatchHost:
+    def _policy(self, pattern: str) -> CensorPolicy:
+        return CensorPolicy(
+            generation=Generation.Ixp200, dns_rules=(pattern,), http_host_rules=(pattern,)
+        )
+
     def test_exact(self):
-        assert match_host("youtube.com", "youtube.com")
-        assert not match_host("youtube.com", "www.youtube.com")
+        policy = self._policy("youtube.com")
+        assert policy.dns_blocked("youtube.com")
+        assert not policy.dns_blocked("www.youtube.com")
 
     def test_wildcard_suffix(self):
-        assert match_host("*.youtube.com", "www.youtube.com")
-        assert not match_host("*.youtube.com", "youtube.com")
-        assert not match_host("*.youtube.com", "notyoutube.com")
+        policy = self._policy("*.youtube.com")
+        assert policy.dns_blocked("www.youtube.com")
+        assert policy.dns_blocked("a.b.youtube.com")
+        assert not policy.dns_blocked("youtube.com")
+        assert not policy.dns_blocked(".youtube.com")
+        assert not policy.dns_blocked("notyoutube.com")
+
+    def test_first_listed_rule_wins(self):
+        policy = make_policy(
+            Generation.Ixp200,
+            http_host_rules=("*.a.test", "b.a.test"),
+            http_host_uri_rules=(("*.a.test", "/y"), ("b.a.test", "/x")),
+            keyword_portal_interception=True,
+        )
+        assert policy.matched_rule("b.a.test", "/") == "host:*.a.test"
+        assert policy.matched_rule("b.a.test", "/x/y") == "uri:*.a.test"
+        assert policy.matched_rule("b.a.test", "/x") == "uri:b.a.test"
+        assert policy.matched_rule("c.test", "/b.a.test/a.test") == "keyword:a.test"
 
 
 class TestHandleDns:
@@ -348,6 +454,21 @@ class TestDnsListener:
             endpoint = emu.dns_listeners["Google"].endpoint
             msg, _ = dnswire.query(endpoint, "blocked.test", timeout=2)
             assert msg.rcode == dnswire.RCODE_NXDOMAIN
+
+    def test_names_match_in_any_case(self):
+        policy = make_policy(
+            Generation.Ixp200,
+            dns_rules=("blocked.test",),
+            http_host_rules=("blocked.test",),
+            live_hosts=("alive.test",),
+        )
+        with start_emulator(policy) as emu:
+            norton = emu.dns_listeners["Norton"].endpoint
+            msg, _ = dnswire.query(norton, "BLOCKED.Test", timeout=2)
+            assert (msg.qname, msg.answers) == ("BLOCKED.Test", ["198.153.192.3"])
+            google = emu.dns_listeners["Google"].endpoint
+            msg, _ = dnswire.query(google, "Alive.TEST", timeout=2)
+            assert (msg.qname, msg.answers) == ("Alive.TEST", ["127.0.0.1"])
 
     def test_malformed_query_gets_formerr(self, passthrough_emulator):
         endpoint = passthrough_emulator.dns_listeners["Google"].endpoint

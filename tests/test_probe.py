@@ -1,4 +1,6 @@
+import os
 import socket
+import sys
 import threading
 from dataclasses import replace
 
@@ -104,6 +106,76 @@ class TestDnsStep:
         assert all(obs[r.name].outcome is DnsOutcome.Answers for r in reachable)
         assert result.tcp and all(t.result is TcpResult.Connected for t in result.tcp)
         assert result.keyword.status == 404 and result.http.status == 200
+
+
+class TestCampaignSockets:
+    def test_each_worker_opens_one_socket_per_resolver(self, passthrough_emulator, monkeypatch):
+        config = replace(probe_config_for(passthrough_emulator), workers=2)
+        opened = []
+        real_connect = dnswire.connect
+        monkeypatch.setattr(
+            dnswire, "connect", lambda server: opened.append(server) or real_connect(server)
+        )
+        targets = [parse_target(f"http://site001.test/{i}") for i in range(8)]
+        results = run_campaign(targets, config)
+        assert all(r.errors == () and len(r.dns) == len(config.resolvers) for r in results)
+        servers = [(r.address, r.port) for r in config.resolvers]
+        assert sorted(opened) == sorted(servers * 2)
+
+    def test_workers_take_each_target_once(self, monkeypatch):
+        probed = []
+
+        def run_target(target, config):
+            probed.append(target)
+            return probe.TargetProbeResult(target)
+
+        monkeypatch.setattr(probe, "run_target", run_target)
+        config = ProbeConfig(
+            resolvers=[ResolverSpec("Discard", "127.0.0.1", port=9)],
+            host_overrides={"www.google.com": "127.0.0.1"},
+            workers=8,
+        )
+        targets = [parse_target(f"http://site{i}.test") for i in range(2000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_campaign(targets, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.target for r in results] == targets
+        assert sorted(t.host for t in probed) == sorted(t.host for t in targets)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_campaign_leaves_no_descriptor_open(self, passthrough_emulator, monkeypatch):
+        real_dns_step = probe.dns_step
+
+        def dns_step(target, config):
+            observations = real_dns_step(target, config)
+            if target.host == "site002.test":
+                raise RuntimeError("after its lookups")
+            return observations
+
+        monkeypatch.setattr(probe, "dns_step", dns_step)
+        config = replace(probe_config_for(passthrough_emulator), workers=3)
+        del config.host_overrides["www.google.com"]  # the campaign resolves the portal
+        targets = [parse_target(f"http://site00{1 + i % 2}.test/{i}") for i in range(6)]
+        before = len(os.listdir("/proc/self/fd"))
+        results = run_campaign(targets, config)
+        assert len(os.listdir("/proc/self/fd")) == before
+        logged = ("probe: RuntimeError: after its lookups",)
+        assert [r.errors for r in results[1::2]] == [logged] * 3
+        assert all(r.errors == () and r.http.status == 200 for r in results[::2])
+
+    def test_resolver_without_a_socket_costs_one_servfail_per_target(self, passthrough_emulator):
+        config = probe_config_for(passthrough_emulator)
+        broadcast = ResolverSpec("Broadcast", "255.255.255.255")
+        config.resolvers = [broadcast, *config.resolvers]
+        targets = [parse_target(f"http://site001.test/{i}") for i in range(5)]
+        for result in run_campaign(targets, config):
+            assert result.errors == ()
+            assert [o.resolver for o in result.dns] == config.resolvers
+            assert result.dns[0].outcome is DnsOutcome.ServFail
+            assert all(o.outcome is DnsOutcome.Answers for o in result.dns[1:])
 
 
 class TestTcpStep:
