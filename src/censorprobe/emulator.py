@@ -3,13 +3,17 @@
 Runs as an unprivileged local proxy pair (one UDP listener per emulated
 resolver identity plus an HTTP middlebox) in front of an origin stub, so
 probe and classifier tests have deterministic ground truth. Every listener
-is served by one asyncio event loop on one thread.
+is served by one asyncio event loop on one thread, which reads and answers
+each non-blocking socket itself (loop.add_reader / add_writer callbacks): no
+asyncio transport or protocol object stands between a datagram or a
+connection and its handler.
 """
 
 from __future__ import annotations
 
 import asyncio
 import enum
+import errno
 import socket
 import threading
 from dataclasses import dataclass, field, replace
@@ -68,7 +72,20 @@ class CensorPolicy:
     blackhole_hosts: tuple[str, ...] = ()
 
     def __post_init__(self):
-        http_hosts = set(self.http_host_rules) | {h for h, _ in self.http_host_uri_rules}
+        # names on the wire are matched lower-cased, so a host with an
+        # upper-case letter could never match
+        uri_hosts = [h for h, _ in self.http_host_uri_rules]
+        named_hosts = [
+            *((f"dns_rules[{i}]", h) for i, h in enumerate(self.dns_rules)),
+            *((f"http_host_rules[{i}]", h) for i, h in enumerate(self.http_host_rules)),
+            *((f"http_host_uri_rules[{i}]", h) for i, h in enumerate(uri_hosts)),
+            *((f"blackhole_hosts[{i}]", h) for i, h in enumerate(self.blackhole_hosts)),
+            *(("zone", h) for h, _ in self.zone),
+        ]
+        for key, host in named_hosts:
+            if host != host.lower():
+                raise InvalidDocument(f"host must be lowercase: {host!r}", key)
+        http_hosts = {*self.http_host_rules, *uri_hosts}
         for i, rule in enumerate(self.dns_rules):
             if rule not in http_hosts:
                 reason = f"{rule!r} has no HTTP rule; a DNS-blocked host needs one"
@@ -88,7 +105,7 @@ class CensorPolicy:
         # distinct listed base names for keyword interception, in rule order
         # (host rules, then URI rules), bucketed by their first `width`
         # characters, where `width` is the shortest name's length
-        names = [*self.http_host_rules, *(p for p, _ in self.http_host_uri_rules)]
+        names = [*self.http_host_rules, *uri_hosts]
         keyword_names = list(dict.fromkeys(_pattern_base(p) for p in names))
         width = min(map(len, keyword_names), default=0)
         keywords: dict[str, list[tuple[int, str]]] = {}
@@ -222,7 +239,8 @@ class TranscriptRecorder:
     """Sessions in accept order; each distinct (direction, line) is stored
     once, and so is each distinct finished session: close_session puts the
     first finished session of equal content in its place. Only the
-    emulator's event loop thread writes, so no lock is needed."""
+    emulator's event loop thread writes, or stop() once that thread has
+    ended, so no lock is needed."""
 
     def __init__(self):
         self.sessions: list[SessionTranscript] = []
@@ -244,44 +262,70 @@ class TranscriptRecorder:
         self.sessions[index] = self._finished.setdefault(key, session)
 
 
-class DnsListener(asyncio.DatagramProtocol):
-    """One emulated resolver identity on a UDP port bound at construction."""
+_MAX_DATAGRAM = 65536  # above any UDP payload, so no query is cut short
+_DATAGRAMS_PER_WAKEUP = 32
+
+
+class DnsListener:
+    """One emulated resolver identity on a UDP port bound at construction.
+
+    Once opened on a loop, each wake-up answers the queries waiting on the
+    socket, at most _DATAGRAMS_PER_WAKEUP of them, so that a flood on one
+    port cannot starve the other listeners."""
 
     def __init__(self, policy: CensorPolicy, resolver: ResolverSpec):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             self.sock.bind(("127.0.0.1", 0))
+            self.sock.setblocking(False)
         except OSError:
             self.sock.close()
             raise
         self.endpoint: tuple[str, int] = self.sock.getsockname()
         self.policy = policy
         self.resolver = resolver
-        self.transport: asyncio.DatagramTransport | None = None
+        self.request_count = 0  # datagrams answered
+        self.loop: asyncio.AbstractEventLoop | None = None
 
-    async def open(self) -> None:
-        loop = asyncio.get_running_loop()
-        await loop.create_datagram_endpoint(lambda: self, sock=self.sock)
+    def open(self, loop: asyncio.AbstractEventLoop) -> None:
+        loop.add_reader(self.sock, self.read)
+        self.loop = loop
 
     def close(self) -> None:
-        (self.transport or self.sock).close()
+        if self.loop is not None:
+            self.loop.remove_reader(self.sock)
+            self.loop = None
+        self.sock.close()
 
-    def connection_made(self, transport):
-        self.transport = transport
+    def read(self) -> None:
+        sock = self.sock
+        for _ in range(_DATAGRAMS_PER_WAKEUP):
+            try:
+                data, addr = sock.recvfrom(_MAX_DATAGRAM)
+            except BlockingIOError:
+                return
+            except OSError:  # an error queued on the socket costs no answer
+                continue
+            reply = self.answer(data)
+            if reply is None:
+                continue
+            self.request_count += 1
+            try:
+                sock.sendto(reply, addr)
+            except OSError:  # a full buffer or a gone client drops it, as UDP may
+                pass
 
-    def datagram_received(self, data: bytes, addr) -> None:
+    def answer(self, data: bytes) -> bytes | None:
+        """The reply to one datagram; None when it is too short to echo a txid."""
         try:
             msg = dnswire.decode_message(data)
         except dnswire.DnsDecodeError:
-            if len(data) >= 2:
-                # header-only FORMERR; the question was not decodable
-                self.transport.sendto(data[:2] + b"\x81\x81" + b"\x00" * 8, addr)
-            return
+            # header-only FORMERR; the question was not decodable
+            return data[:2] + b"\x81\x81" + b"\x00" * 8 if len(data) >= 2 else None
         # names are case-insensitive (RFC 4343); the reply echoes the question as sent
         kind, addrs = handle_dns(self.policy, msg.qname.lower(), self.resolver)
         rcode = dnswire.RCODE_NOERROR if kind == "A" else dnswire.RCODE_NXDOMAIN
-        reply = dnswire.encode_response(msg.txid, msg.qname, rcode, addrs)
-        self.transport.sendto(reply, addr)
+        return dnswire.encode_response(msg.txid, msg.qname, rcode, addrs)
 
 
 # --- HTTP side ------------------------------------------------------------
@@ -304,6 +348,10 @@ def build_response(
 
 
 _BACKLOG = 128  # many concurrent probe workers must not overflow the accept queue
+_MAX_HEAD = 65536  # a longer request head is cut here and answered as it stands
+# accept() errors after which a listener pauses for _ACCEPT_RETRY_DELAY seconds
+_ACCEPT_RESOURCE_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
+_ACCEPT_RETRY_DELAY = 1.0
 
 
 def _parse_request(raw: bytes) -> tuple[str, str, str] | None:
@@ -324,38 +372,48 @@ def _parse_request(raw: bytes) -> tuple[str, str, str] | None:
     return method, uri, host
 
 
-class _HttpConnection(asyncio.Protocol):
+class _HttpConnection:
     """One accepted connection: collects the request head, hands it to the
-    listener, and stays open until the listener answers or stop() aborts it."""
+    listener, sends the answer and closes; or stays open until a blackhole
+    timer or stop() closes it. The listener's loop runs its callbacks."""
 
-    def __init__(self, listener: _HttpListener):
+    def __init__(self, listener: _HttpListener, sock: socket.socket, peer: tuple[str, int]):
         self.listener = listener
+        self.sock = sock
+        self.peer = peer
         self.head: bytes | None = b""  # None once handed to the listener
+        self.unsent: bytes | memoryview = b""  # the rest of the answer
+        self.reading = self.writing = False  # a reader or writer callback is set
         self.pending: asyncio.TimerHandle | None = None
+        listener.connections.add(self)
+        recorder = listener.recorder
+        self.session_index = recorder.open_session(listener.name) if recorder else None
 
-    def connection_made(self, transport):
-        self.transport = transport
-        self.listener.connections.add(self)
-        recorder = self.listener.recorder
-        self.session_index = recorder.open_session(self.listener.name) if recorder else None
-
-    def data_received(self, data: bytes) -> None:
-        if self.head is not None:
+    def read(self) -> None:
+        """Take what has arrived of the head; dispatch it once it ends, at
+        EOF or at _MAX_HEAD bytes, else wait for more."""
+        try:
+            data = self.sock.recv(_MAX_HEAD)
+        except BlockingIOError:
+            data = None
+        except OSError:  # reset by the peer
+            self.close()
+            return
+        if data is not None:
             self.head += data
-            if b"\r\n\r\n" in self.head or len(self.head) >= 65536:
-                self._dispatch()
-
-    def eof_received(self) -> bool:
-        if self.head is not None:
-            self._dispatch()
-        return True  # the listener closes the transport once it has answered
-
-    def connection_lost(self, exc) -> None:
-        self.listener.connections.discard(self)
-        if self.pending is not None:
-            self.pending.cancel()
-        if self.session_index is not None:
-            self.listener.recorder.close_session(self.session_index)
+            if not data or b"\r\n\r\n" in self.head or len(self.head) >= _MAX_HEAD:
+                if self.reading:
+                    self.listener.loop.remove_reader(self.sock)
+                    self.reading = False
+                try:
+                    self._dispatch()
+                except BaseException:
+                    self.close()  # a handler that raised leaves no connection behind
+                    raise  # for the loop to log
+                return
+        if not self.reading:
+            self.listener.loop.add_reader(self.sock, self.read)
+            self.reading = True
 
     def _dispatch(self) -> None:
         raw, self.head = self.head, None
@@ -374,34 +432,97 @@ class _HttpConnection(asyncio.Protocol):
     def answer(self, reply: bytes) -> None:
         """Send reply and close; the transcript records its status line."""
         self.note("out", reply.split(b"\r\n", 1)[0].decode("latin-1", "replace"))
-        self.transport.write(reply)
-        self.transport.close()
+        self.unsent = reply
+        self.write()
+
+    def write(self) -> None:
+        """Send what is left of the answer; close once all of it is sent,
+        else wait until the socket takes more."""
+        try:
+            sent = self.sock.send(self.unsent)
+        except BlockingIOError:
+            sent = 0
+        except OSError:  # reset by the peer
+            self.close()
+            return
+        if sent == len(self.unsent):
+            self.close()
+            return
+        self.unsent = memoryview(self.unsent)[sent:]
+        if not self.writing:
+            self.listener.loop.add_writer(self.sock, self.write)
+            self.writing = True
+
+    def close(self) -> None:
+        """Close the socket and end the session; cancels a blackhole timer."""
+        loop = self.listener.loop
+        if self.reading:
+            loop.remove_reader(self.sock)
+        if self.writing:
+            loop.remove_writer(self.sock)
+        self.sock.close()
+        self.listener.connections.discard(self)
+        if self.pending is not None:
+            self.pending.cancel()
+        if self.session_index is not None:
+            self.listener.recorder.close_session(self.session_index)
 
 
 class _HttpListener:
     """A TCP listener bound at construction; `handle` answers each request head.
     With a recorder, each accepted connection opens a session named `name`."""
 
-    name: str  # the transcript's listener name, where there is a recorder
+    name: str  # names the listener in transcripts and Emulator.request_counts()
 
     def __init__(self, policy: CensorPolicy | None, recorder: TranscriptRecorder | None):
         self.sock = socket.create_server(("127.0.0.1", 0), backlog=_BACKLOG)
+        self.sock.setblocking(False)
         self.endpoint: tuple[str, int] = self.sock.getsockname()
         self.policy = policy
         self.recorder = recorder
         self.connections: set[_HttpConnection] = set()
-        self._server: asyncio.AbstractServer | None = None
+        self.request_count = 0  # connections accepted
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self._resume: asyncio.TimerHandle | None = None
 
-    async def open(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(
-            lambda: _HttpConnection(self), sock=self.sock, backlog=_BACKLOG
-        )
+    def open(self, loop: asyncio.AbstractEventLoop) -> None:
+        loop.add_reader(self.sock, self.accept)
+        self.loop = loop
 
     def close(self) -> None:
-        (self._server or self.sock).close()
         for conn in list(self.connections):
-            conn.transport.abort()
+            conn.close()
+        if self.loop is not None:
+            self.loop.remove_reader(self.sock)
+            self.loop = None
+        if self._resume is not None:
+            self._resume.cancel()
+        self.sock.close()
+
+    def accept(self) -> None:
+        """Accept the waiting connections, at most _BACKLOG of them, and read
+        each one's request head at once."""
+        for _ in range(_BACKLOG):
+            try:
+                sock, peer = self.sock.accept()
+            except BlockingIOError:
+                return
+            except ConnectionAbortedError:  # reset while it waited to be accepted
+                continue
+            except OSError as exc:
+                if exc.errno not in _ACCEPT_RESOURCE_ERRNOS:
+                    raise  # the loop logs it
+                # out of descriptors or memory: the socket stays readable, so
+                # stop watching it for a while instead of spinning, as asyncio does
+                self.loop.call_exception_handler(
+                    {"message": "socket.accept() out of system resource", "exception": exc}
+                )
+                self.loop.remove_reader(self.sock)
+                self._resume = self.loop.call_later(_ACCEPT_RETRY_DELAY, self.open, self.loop)
+                return
+            sock.setblocking(False)
+            self.request_count += 1
+            _HttpConnection(self, sock, peer).read()
 
     def reject(self, conn: _HttpConnection, raw: bytes) -> None:
         """400 for a request head that does not parse."""
@@ -431,21 +552,20 @@ class CensorHttpProxy(_HttpListener):
         if raw:
             super().reject(conn, raw)
         else:  # a bare connect, as the probe's TCP step makes, gets no answer
-            conn.transport.close()
+            conn.close()
 
     def handle(self, conn: _HttpConnection, uri: str, host: str) -> None:
         policy = self.policy
         if policy.blackholed(host):
             conn.note("out", "<blackhole>")
-            loop = asyncio.get_running_loop()
-            conn.pending = loop.call_later(self.blackhole_delay, conn.transport.close)
+            conn.pending = self.loop.call_later(self.blackhole_delay, conn.close)
             return
 
         rule = policy.matched_rule(host, uri)
         if rule is None:
             conn.answer(self.origin.serve(host, uri))
         elif policy.generation is Generation.Isp302:
-            client_ip = conn.transport.get_extra_info("peername")[0]
+            client_ip = conn.peer[0]
             location = (
                 f"http://{policy.redirect_host}/redirect.php"
                 f"?n={client_ip}@{policy.pop_label}&s={policy.rule_id}"
@@ -473,6 +593,8 @@ class WarningSite(_HttpListener):
 
 class OriginStub(_HttpListener):
     """Per-Host content registry standing in for the real web."""
+
+    name = "origin"
 
     def __init__(self):
         super().__init__(None, None)
@@ -509,8 +631,8 @@ class Emulator:
     """Wires origin stub, censor proxy, warning site, and DNS listeners.
 
     The sockets are bound here; start() serves them all from one asyncio
-    event loop on one thread, and stop() closes them and aborts open
-    connections, which cancels their blackhole timers.
+    event loop on one thread, and stop() ends the loop, then closes them and
+    every open connection, which cancels its blackhole timer.
     """
 
     def __init__(self, policy: CensorPolicy, blackhole_delay: float = 30.0):
@@ -534,31 +656,33 @@ class Emulator:
     def _listeners(self) -> list[_HttpListener | DnsListener]:
         return [self.origin, self.proxy, self.warning, *self.dns_listeners.values()]
 
+    def request_counts(self) -> dict[str, int]:
+        """Datagrams answered per resolver name, and connections accepted
+        per HTTP listener name, so far."""
+        counts = {name: dns.request_count for name, dns in self.dns_listeners.items()}
+        for listener in (self.proxy, self.warning, self.origin):
+            counts[listener.name] = listener.request_count
+        return counts
+
     def start(self):
         if self._loop is not None:
             return
-        self._loop = asyncio.new_event_loop()
+        # the proactor loop, Windows' default, has no add_reader
+        self._loop = asyncio.SelectorEventLoop()
+        for listener in self._listeners():
+            listener.open(self._loop)
         self._thread = threading.Thread(target=self._loop.run_forever, daemon=True)
         self._thread.start()
-        asyncio.run_coroutine_threadsafe(self._open(), self._loop).result()
-
-    async def _open(self):
-        for listener in self._listeners():
-            await listener.open()
-
-    async def _close(self):
-        for listener in self._listeners():
-            listener.close()
 
     def stop(self):
-        if self._thread is None or not self._thread.is_alive():
-            for listener in self._listeners():
-                listener.close()
-            return
-        asyncio.run_coroutine_threadsafe(self._close(), self._loop).result()
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._loop.close()
+        if self._thread is not None and self._thread.is_alive():
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join()
+        # the loop has ended, so nothing else touches the sockets now
+        for listener in self._listeners():
+            listener.close()
+        if self._loop is not None:
+            self._loop.close()
 
     def __enter__(self):
         self.start()

@@ -1,4 +1,7 @@
+import asyncio
+import errno
 import json
+import os
 import socket
 import struct
 import sys
@@ -8,12 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from censorprobe import dnswire, httpwire
+from censorprobe import dnswire, emulator, httpwire
 from censorprobe.emulator import (
     CensorPolicy,
     Emulator,
     Generation,
     OriginStub,
+    build_response,
     handle_dns,
     load_policy,
     serve_warning_site,
@@ -223,6 +227,25 @@ class TestPolicyValidation:
         with pytest.raises(InvalidDocument):
             load_policy('{"generation": "Ixp200", "dns_rules": ["a.test"]}')
 
+    @pytest.mark.parametrize(
+        "rules, key",
+        [
+            ({"dns_rules": ["a.test", "B.test"], "http_host_rules": ["a.test", "B.test"]},
+             "dns_rules[1]"),
+            ({"http_host_rules": ["YouTube.com"]}, "http_host_rules[0]"),
+            ({"http_host_uri_rules": [["a.test", "/x"], ["Vimeo.com", "/v"]]},
+             "http_host_uri_rules[1]"),
+            ({"blackhole_hosts": ["*.Stuck.test"]}, "blackhole_hosts[0]"),
+            ({"zone": {"alive.test": [], "Alive.test": ["127.0.0.1"]}}, "zone"),
+        ],
+    )
+    def test_upper_case_host_rejected(self, rules, key):
+        # names on the wire are lower-cased, so such a rule could never match
+        with pytest.raises(InvalidDocument) as exc:
+            load_policy(json.dumps({"generation": "Ixp200", **rules}))
+        assert exc.value.key == key
+        assert "host must be lowercase" in str(exc.value)
+
     @pytest.mark.parametrize("as_file", [False, True])
     def test_full_and_minimal_documents_load_to_equal_policies(self, tmp_path, as_file):
         body_file = tmp_path / "warning.html"
@@ -334,15 +357,19 @@ class TestServeWarningSite:
         assert serve_warning_site(self._policy(), "/other").startswith(b"HTTP/1.1 404")
 
 
+def _read_to_eof(sock: socket.socket) -> bytes:
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
 def _raw_http(endpoint, request: bytes) -> bytes:
     with socket.create_connection(endpoint, timeout=5) as sock:
         sock.sendall(request)
-        out = b""
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return out
-            out += chunk
+        return _read_to_eof(sock)
 
 
 class TestHttpProxy:
@@ -670,6 +697,218 @@ class TestFinishedSessionsStoredOnce:
             for sock in parked:
                 sock.close()
             emu.stop()
+
+
+def _reset(sock: socket.socket) -> None:
+    """Close with an RST instead of a FIN."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def _big_reply_emulator() -> Emulator:
+    """An Ixp200 censor whose warning page is larger than any socket buffer."""
+    body = b"<html>" + bytes(range(256)) * (8 * 4096) + b"</html>"  # 8 MiB and 13 bytes
+    policy = make_policy(Generation.Ixp200, http_host_rules=("blocked.test",), warning_body=body)
+    return start_emulator(policy)
+
+
+BLOCKED_GET = b"GET / HTTP/1.1\r\nHost: blocked.test\r\n\r\n"
+
+
+class TestListenerSockets:
+    """The loop reads and answers each socket itself; these drive its edges."""
+
+    def test_reply_larger_than_the_send_buffer_arrives_whole(self):
+        with _big_reply_emulator() as emu:
+            with socket.create_connection(emu.proxy.endpoint, timeout=5) as sock:
+                sock.sendall(BLOCKED_GET)
+                # not reading yet leaves the rest of the reply to the writer callback
+                _wait_for(lambda: any(c.writing for c in list(emu.proxy.connections)))
+                reply = _read_to_eof(sock)
+            headers = [("Last-Modified", emu.policy.warning_last_modified)]
+            assert reply == build_response(200, "OK", emu.policy.warning_body, headers)
+            _wait_for(lambda: not emu.proxy.connections)
+
+    def test_head_in_three_segments_is_answered_once(self, passthrough_emulator):
+        emu = passthrough_emulator
+        before = len(emu.origin.requests)
+        with socket.create_connection(emu.proxy.endpoint, timeout=5) as sock:
+            for segment in (b"GET /seg HTTP/1.1\r\n", b"Host: site001.test\r\n", b"\r\n"):
+                sock.sendall(segment)
+                time.sleep(0.05)
+            reply = _read_to_eof(sock)
+        assert reply == emu.origin.response_for("site001.test", "/seg")
+        assert emu.origin.requests[before:] == [("site001.test", "/seg")]
+
+    def test_head_of_64_kib_without_terminator_gets_400(self, passthrough_emulator):
+        raw = _raw_http(passthrough_emulator.proxy.endpoint, b"A" * 65536)
+        assert raw == build_response(400, "Bad Request", b"bad request")
+
+    def test_queries_sent_before_any_read_are_each_answered_once(self, passthrough_emulator):
+        endpoint = passthrough_emulator.dns_listeners["Norton"].endpoint
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.settimeout(5)
+            for txid in range(64):
+                sock.sendto(dnswire.encode_query(txid, "site001.test"), endpoint)
+            txids = [dnswire.decode_message(sock.recv(512)).txid for _ in range(64)]
+            sock.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                sock.recv(512)
+        assert sorted(txids) == list(range(64))
+
+    def test_each_wakeup_answers_a_bounded_number_of_queries(self):
+        # a flood on one port must leave the loop to the other listeners
+        policy = make_policy(Generation.PassThrough, live_hosts=("alive.test",))
+        emu = Emulator(policy)  # not started: the test runs the read callback itself
+        listener = emu.dns_listeners["Google"]
+        bound = emulator._DATAGRAMS_PER_WAKEUP
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.settimeout(5)
+                for txid in range(bound + 5):
+                    sock.sendto(dnswire.encode_query(txid, "alive.test"), listener.endpoint)
+                time.sleep(0.1)
+                listener.read()
+                assert listener.request_count == bound
+                listener.read()
+                assert listener.request_count == bound + 5
+                txids = [dnswire.decode_message(sock.recv(512)).txid for _ in range(bound + 5)]
+            assert txids == list(range(bound + 5))
+        finally:
+            emu.stop()
+
+    @pytest.mark.parametrize("code", [errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM])
+    def test_accept_out_of_resources_pauses_the_listener(self, code, monkeypatch, caplog):
+        monkeypatch.setattr(emulator, "_ACCEPT_RETRY_DELAY", 0.3)
+        real_accept = socket.socket.accept
+        calls = []
+
+        def accept(sock):
+            calls.append(time.monotonic())
+            if len(calls) == 1:
+                raise OSError(code, os.strerror(code))
+            return real_accept(sock)
+
+        with start_emulator(make_policy(Generation.PassThrough, live_hosts=("a.test",))) as emu:
+            monkeypatch.setattr(socket.socket, "accept", accept)
+            obs = httpwire.fetch("127.0.0.1", "a.test", "/", port=emu.proxy.endpoint[1])
+            assert obs.status == 200
+        # the failed accept paused the listener instead of letting the loop spin on it
+        assert calls[1] - calls[0] >= 0.25
+        logged = [r.getMessage() for r in caplog.get_records("call") if r.name == "asyncio"]
+        assert len(logged) == 1 and "socket.accept() out of system resource" in logged[0]
+        caplog.clear()  # the one error this test expects
+
+    def test_aborted_connection_is_skipped(self, monkeypatch):
+        real_accept = socket.socket.accept
+        aborted = []
+
+        def accept(sock):
+            if not aborted:
+                aborted.append(True)
+                raise ConnectionAbortedError(errno.ECONNABORTED, "aborted")
+            return real_accept(sock)
+
+        with start_emulator(make_policy(Generation.PassThrough, live_hosts=("a.test",))) as emu:
+            monkeypatch.setattr(socket.socket, "accept", accept)
+            obs = httpwire.fetch("127.0.0.1", "a.test", "/", port=emu.proxy.endpoint[1])
+            assert obs.status == 200
+        assert aborted == [True]
+
+    def test_reset_while_reading_the_head_closes_the_connection(self, passthrough_emulator):
+        emu = passthrough_emulator
+        sock = socket.create_connection(emu.proxy.endpoint, timeout=5)
+        try:
+            sock.sendall(b"GET / HT")
+            _wait_for(lambda: any(c.reading for c in list(emu.proxy.connections)))
+        finally:
+            (conn,) = emu.proxy.connections
+            _reset(sock)
+        _wait_for(lambda: not emu.proxy.connections)
+        assert conn.sock.fileno() == -1
+        assert emu.recorder.sessions[conn.session_index].entries == []
+
+    def test_reset_while_sending_closes_the_connection(self):
+        with _big_reply_emulator() as emu:
+            sock = socket.create_connection(emu.proxy.endpoint, timeout=5)
+            try:
+                sock.sendall(BLOCKED_GET)
+                _wait_for(lambda: any(c.writing for c in list(emu.proxy.connections)))
+            finally:
+                (conn,) = emu.proxy.connections
+                _reset(sock)
+            _wait_for(lambda: not emu.proxy.connections)
+            assert conn.sock.fileno() == -1
+            assert emu.recorder.sessions[conn.session_index].entries == [
+                ("in", "GET / HTTP/1.1"),
+                ("out", "HTTP/1.1 200 OK"),
+            ]
+
+    def test_handler_that_raises_closes_its_connection(self, monkeypatch, caplog):
+        def response_for(origin, host, uri):
+            raise RuntimeError("handler fault")
+
+        with start_emulator(make_policy(Generation.PassThrough, live_hosts=("a.test",))) as emu:
+            port = emu.proxy.endpoint[1]
+            monkeypatch.setattr(OriginStub, "response_for", response_for)
+            with pytest.raises(httpwire.HttpTransportError):
+                httpwire.fetch("127.0.0.1", "a.test", "/", port=port, timeout=2)
+            _wait_for(lambda: not emu.proxy.connections)
+            monkeypatch.undo()
+            assert httpwire.fetch("127.0.0.1", "a.test", "/", port=port).status == 200
+        raised = [r.exc_info[1] for r in caplog.get_records("call") if r.name == "asyncio"]
+        assert [str(exc) for exc in raised] == ["handler fault"]
+        caplog.clear()  # the one error this test expects
+
+    def test_start_needs_no_default_event_loop(self, monkeypatch):
+        # Windows' default loop has no add_reader, so start() builds its own
+        def default_loop():
+            raise AssertionError("the emulator asked for the default event loop")
+
+        monkeypatch.setattr(asyncio, "new_event_loop", default_loop)
+        policy = make_policy(Generation.PassThrough, live_hosts=("a.test",))
+        with start_emulator(policy) as emu:
+            msg, _ = dnswire.query(emu.dns_listeners["Google"].endpoint, "a.test", timeout=2)
+            assert msg.answers == ["127.0.0.1"]
+
+    def test_request_counts_per_listener(self):
+        policy = make_policy(
+            Generation.PassThrough, live_hosts=("site001.test", "site002.test", "www.google.com")
+        )
+        targets = [parse_target(f"http://site00{1 + i % 2}.test/{i}") for i in range(8)]
+        with start_emulator(policy) as emu:
+            config = probe_config_for(emu)
+            del config.host_overrides["www.google.com"]  # the campaign resolves the portal
+            results = run_campaign(targets, config)
+            assert all(r.errors == () for r in results)
+            # each target: one query per resolver, and a TCP connect, a
+            # keyword fetch and an HTTP fetch through the proxy; plus one
+            # lookup of the portal for the campaign
+            expected = {r.name: len(targets) + 1 for r in policy.resolver_map}
+            expected.update({"censor-http": 3 * len(targets), "warning-site": 0, "origin": 0})
+            _wait_for(lambda: emu.request_counts()["censor-http"] == 3 * len(targets))
+            assert emu.request_counts() == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_stop_leaves_no_descriptor_open(self):
+        policy = make_policy(
+            Generation.Isp302,
+            http_host_rules=("blocked.test",),
+            live_hosts=("site001.test", "blocked.test", "stuck.test", "www.google.com"),
+            blackhole_hosts=("stuck.test",),
+        )
+        before = len(os.listdir("/proc/self/fd"))
+        emu = start_emulator(policy, blackhole_delay=30)
+        parked = socket.create_connection(emu.proxy.endpoint, timeout=5)
+        try:
+            targets = [parse_target(f"http://{h}.test/") for h in ("site001", "blocked")]
+            assert all(r.errors == () for r in run_campaign(targets, probe_config_for(emu)))
+            parked.sendall(b"GET / HTTP/1.1\r\nHost: stuck.test\r\n\r\n")
+            _wait_for(lambda: any(c.pending for c in list(emu.proxy.connections)))
+        finally:
+            emu.stop()
+            parked.close()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize(
