@@ -1,4 +1,5 @@
-"""Minimal DNS wire format: A queries, A/NXDOMAIN answers, and a UDP client.
+"""Minimal DNS wire format: A queries, A/NXDOMAIN answers, and a UDP client
+that asks many servers at once.
 
 Only what the probe and emulator need: QTYPE A, QCLASS IN, compression
 pointers on decode. Encoding never emits pointers.
@@ -7,10 +8,10 @@ pointers on decode. Encoding never emits pointers.
 from __future__ import annotations
 
 import random
+import select
 import socket
 import struct
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 QTYPE_A = 1
@@ -86,9 +87,15 @@ def decode_name(data: bytes, offset: int) -> tuple[str, int]:
             offset += 1 + length
 
 
+_QUESTION_TAIL = struct.pack(">HH", QTYPE_A, QCLASS_IN)
+
+
+def _query_header(txid: int) -> bytes:
+    return struct.pack(">HHHHHH", txid, 0x0100, 1, 0, 0, 0)  # RD set
+
+
 def encode_query(txid: int, qname: str) -> bytes:
-    header = struct.pack(">HHHHHH", txid, 0x0100, 1, 0, 0, 0)  # RD set
-    return header + encode_name(qname) + struct.pack(">HH", QTYPE_A, QCLASS_IN)
+    return _query_header(txid) + encode_name(qname) + _QUESTION_TAIL
 
 
 @dataclass
@@ -151,21 +158,133 @@ def encode_response(
     return bytes(body)
 
 
+def _socket_error(server: tuple[str, int], exc: OSError) -> DnsError:
+    error = DnsError(f"{server[0]}:{server[1]}: {exc}")
+    error.__cause__ = exc
+    return error
+
+
 def connect(server: tuple[str, int]) -> socket.socket:
-    """A UDP socket of the server's family, connected to it, so the kernel
-    drops datagrams from any other source. Raises a DnsError naming the
-    server when the socket cannot be opened, as for a broadcast address."""
+    """A non-blocking UDP socket of the server's family, connected to it, so
+    the kernel drops datagrams from any other source. Raises a DnsError
+    naming the server when the socket cannot be opened, as for a broadcast
+    address."""
     family = socket.AF_INET6 if ":" in server[0] else socket.AF_INET
     try:
         sock = socket.socket(family, socket.SOCK_DGRAM)
     except OSError as exc:
-        raise DnsError(f"{server[0]}:{server[1]}: {exc}") from exc
+        raise _socket_error(server, exc) from exc
     try:
+        sock.setblocking(False)
         sock.connect(server)
     except OSError as exc:
         sock.close()
-        raise DnsError(f"{server[0]}:{server[1]}: {exc}") from exc
+        raise _socket_error(server, exc) from exc
     return sock
+
+
+def exchange(
+    servers: list[tuple[str, int]],
+    qname: str,
+    timeout: float,
+    retries: int = 0,
+    socks: dict[tuple[str, int], socket.socket] | None = None,
+) -> list[tuple[DnsMessage, float] | DnsError]:
+    """Ask every server for qname's A record at once; returns, per server and
+    in input order, (message, rtt seconds) or the DnsError its lookup ended
+    with.
+
+    `socks` maps a server to a socket from connect(server) that the caller
+    keeps for many lookups; a server without one gets a socket opened for
+    this call and closed before it returns. Servers with one address share
+    its socket: a reply counts only for the query whose txid, QR bit and
+    question name it matches, and the txids in flight on one socket are
+    distinct. `timeout` bounds each attempt's whole wait, however many
+    datagrams are skipped; each attempt resends the unanswered queries with
+    fresh txids, so the call waits at most (retries + 1) * timeout in all.
+    A garbled datagram (DnsDecodeError) or a socket error, such as a closed
+    port, ends only the queries pending on that socket; a name that cannot
+    be encoded ends every lookup; DnsTimeout ends those never answered.
+    """
+    try:
+        question = encode_name(qname) + _QUESTION_TAIL
+    except DnsError as exc:
+        return [exc] * len(servers)
+    asked = qname.rstrip(".").lower()
+    results: list[tuple[DnsMessage, float] | DnsError | None] = [None] * len(servers)
+    owned: dict[tuple[str, int], socket.socket] = {}
+    by_fd: dict[int, tuple[socket.socket, tuple[str, int]]] = {}
+    fd_of: dict[int, int] = {}  # server index -> its socket's fd
+    pending: dict[tuple[int, int], int] = {}  # (fd, txid) in flight -> server index
+    sent = [0.0] * len(servers)  # when each server's latest query went out
+
+    def end(fd: int, error: DnsError) -> None:
+        for key in [key for key in pending if key[0] == fd]:
+            results[pending.pop(key)] = error
+
+    poller = select.poll()
+    try:
+        for index, server in enumerate(servers):
+            sock = (socks or {}).get(server) or owned.get(server)
+            if sock is None:
+                try:
+                    sock = owned[server] = connect(server)
+                except DnsError as exc:
+                    results[index] = exc
+                    continue
+            fd = fd_of[index] = sock.fileno()
+            if fd not in by_fd:
+                by_fd[fd] = sock, server
+                poller.register(fd, select.POLLIN)
+        waiting = list(fd_of)
+        for _ in range(retries + 1):
+            if not waiting:
+                break
+            deadline = time.monotonic() + timeout
+            for index in waiting:
+                fd = fd_of[index]
+                txid = random.randrange(0x10000)
+                while (fd, txid) in pending:
+                    txid = (txid + 1) & 0xFFFF
+                pending[fd, txid] = index
+                sent[index] = time.monotonic()
+                try:
+                    by_fd[fd][0].send(_query_header(txid) + question)
+                except BlockingIOError:
+                    pass  # a full send buffer drops it, as the network may
+                except OSError as exc:
+                    end(fd, _socket_error(servers[index], exc))
+            while pending and (remaining := deadline - time.monotonic()) > 0:
+                for fd, _ in poller.poll(remaining * 1000):
+                    sock, server = by_fd[fd]
+                    try:
+                        data = sock.recv(4096)
+                    except BlockingIOError:
+                        continue
+                    except OSError as exc:
+                        end(fd, _socket_error(server, exc))
+                        continue
+                    received = time.monotonic()
+                    try:
+                        msg = decode_message(data)
+                    except DnsDecodeError as exc:
+                        end(fd, exc)
+                        continue
+                    index = pending.get((fd, msg.txid))
+                    if index is not None and msg.is_response and msg.qname.lower() == asked:
+                        del pending[fd, msg.txid]
+                        results[index] = (msg, received - sent[index])
+            waiting = sorted(pending.values())
+            pending.clear()
+    finally:
+        for sock in owned.values():
+            sock.close()
+    for index in waiting:
+        server = servers[index]
+        results[index] = DnsTimeout(
+            f"no reply from {server[0]}:{server[1]} in {retries + 1} attempts"
+        )
+    return results
 
 
 def query(
@@ -177,35 +296,15 @@ def query(
 ) -> tuple[DnsMessage, float]:
     """Send an A query over UDP; returns (message, rtt seconds).
 
-    `sock` is a socket from connect(server) that the caller keeps for many
-    queries; without one, the query opens its own and closes it. A reply
-    counts only when its txid, QR bit and question name match the query's,
-    so a late reply to an earlier query on the same socket is skipped.
-    `timeout` bounds each attempt's whole wait: skipped datagrams do not
-    extend it. Raises only DnsError: DnsTimeout after the final retry,
+    exchange() with one server: `sock` is a socket from connect(server) that
+    the caller keeps for many queries; without one, the query opens its own
+    and closes it. Raises only DnsError: DnsTimeout after the final retry,
     DnsDecodeError on a garbled response, a DnsError for a name that cannot
     be encoded, and one naming the server for any socket error, such as a
     closed port.
     """
-    asked = qname.rstrip(".").lower()
-    with nullcontext(sock) if sock is not None else connect(server) as sock:
-        for _ in range(retries + 1):
-            txid = random.randrange(0x10000)
-            try:
-                start = time.monotonic()
-                deadline = start + timeout
-                sock.send(encode_query(txid, qname))
-                while (remaining := deadline - time.monotonic()) > 0:
-                    sock.settimeout(remaining)
-                    data = sock.recv(4096)
-                    elapsed = time.monotonic() - start
-                    msg = decode_message(data)
-                    if msg.txid == txid and msg.is_response and msg.qname.lower() == asked:
-                        return msg, elapsed
-            except TimeoutError:
-                pass  # the next attempt
-            except DnsError:
-                raise
-            except OSError as exc:
-                raise DnsError(f"{server[0]}:{server[1]}: {exc}") from exc
-    raise DnsTimeout(f"no reply from {server[0]}:{server[1]} in {retries + 1} attempts")
+    socks = None if sock is None else {server: sock}
+    (result,) = exchange([server], qname, timeout, retries, socks)
+    if isinstance(result, DnsError):
+        raise result
+    return result

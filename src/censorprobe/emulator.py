@@ -431,7 +431,8 @@ class _HttpConnection:
 
     def answer(self, reply: bytes) -> None:
         """Send reply and close; the transcript records its status line."""
-        self.note("out", reply.split(b"\r\n", 1)[0].decode("latin-1", "replace"))
+        end = reply.find(b"\r\n")  # a slice, not a copy of a large body
+        self.note("out", reply[: end if end >= 0 else None].decode("latin-1", "replace"))
         self.unsent = reply
         self.write()
 

@@ -66,22 +66,22 @@ _worker = threading.local()
 
 
 def dns_step(target: TargetUrl, config: ProbeConfig) -> list[DnsObservation]:
-    """One A lookup per configured resolver; failures become outcomes.
-    Inside a campaign worker, each lookup uses the worker's socket."""
-    sockets = getattr(_worker, "sockets", {})
+    """One A lookup per configured resolver, all sent at once; failures
+    become outcomes. Inside a campaign worker, each lookup uses the worker's
+    socket."""
+    replies = dnswire.exchange(
+        [(r.address, r.port) for r in config.resolvers], target.host,
+        timeout=config.dns_timeout_ms / 1000.0, retries=config.retries,
+        socks=getattr(_worker, "sockets", None),
+    )
     observations = []
-    for resolver in config.resolvers:
-        server = (resolver.address, resolver.port)
-        try:
-            msg, rtt = dnswire.query(
-                server, target.host, timeout=config.dns_timeout_ms / 1000.0,
-                retries=config.retries, sock=sockets.get(server),
-            )
-        except dnswire.DnsError as exc:
-            timed_out = isinstance(exc, TimeoutError)
+    for resolver, reply in zip(config.resolvers, replies):
+        if isinstance(reply, dnswire.DnsError):
+            timed_out = isinstance(reply, TimeoutError)
             outcome = DnsOutcome.Timeout if timed_out else DnsOutcome.ServFail
             observations.append(DnsObservation(resolver, target.host, outcome))
             continue
+        msg, rtt = reply
         if msg.rcode == dnswire.RCODE_NOERROR and msg.answers:
             outcome, answers = DnsOutcome.Answers, tuple(msg.answers)
         elif msg.rcode == dnswire.RCODE_NXDOMAIN:

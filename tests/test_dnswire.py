@@ -1,3 +1,4 @@
+import os
 import re
 import socket
 import struct
@@ -5,7 +6,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from censorprobe import dnswire
 
@@ -225,3 +226,198 @@ def test_late_reply_to_an_earlier_query_on_the_socket_is_skipped(monkeypatch):
             finally:
                 peer.join(timeout=10)
     assert (msg.txid, msg.qname, msg.answers) == (0x1234, "two.test", ["1.2.3.4"])
+
+
+def _bound_udp() -> socket.socket:
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(5)
+    return sock
+
+
+def test_exchange_routes_replies_on_a_shared_socket_by_txid(monkeypatch):
+    # both lookups draw the same txid, so the second must step past it; the
+    # peer answers in reverse order, each query with its own address
+    monkeypatch.setattr(dnswire.random, "randrange", lambda _: 0xFFFF)
+    with _bound_udp() as server:
+        address = server.getsockname()
+
+        def answer():
+            queries = [server.recvfrom(512) for _ in range(2)]
+            for (data, client), answer in reversed(list(zip(queries, ["1.1.1.1", "2.2.2.2"]))):
+                msg = dnswire.decode_message(data)
+                server.sendto(
+                    dnswire.encode_response(msg.txid, msg.qname, dnswire.RCODE_NOERROR, [answer]),
+                    client,
+                )
+
+        peer = threading.Thread(target=answer)
+        peer.start()
+        try:
+            with dnswire.connect(address) as sock:
+                first, second = dnswire.exchange(
+                    [address, address], "a.test", timeout=2, socks={address: sock}
+                )
+        finally:
+            peer.join(timeout=10)
+        assert not peer.is_alive()
+    assert (first[0].txid, first[0].answers) == (0xFFFF, ["1.1.1.1"])
+    assert (second[0].txid, second[0].answers) == (0x0000, ["2.2.2.2"])
+
+
+def test_exchange_wrong_txid_flood_on_one_socket_does_not_extend_the_deadline():
+    with _bound_udp() as flooded, _bound_udp() as live:
+        flooded.settimeout(0.02)
+        done = threading.Event()
+
+        def flood():
+            client, reply = None, b""
+            while not done.is_set():
+                try:
+                    data, client = flooded.recvfrom(512)
+                    msg = dnswire.decode_message(data)
+                    reply = dnswire.encode_response(
+                        msg.txid ^ 1, msg.qname, dnswire.RCODE_NOERROR, ["6.6.6.6"]
+                    )
+                except socket.timeout:
+                    pass
+                if client is not None:
+                    flooded.sendto(reply, client)
+
+        peers = [threading.Thread(target=flood), answer_one_query(live)]
+        peers[0].start()
+        started = time.monotonic()
+        try:
+            timed_out, answered = dnswire.exchange(
+                [flooded.getsockname(), live.getsockname()], "a.test", timeout=0.3, retries=1
+            )
+            elapsed = time.monotonic() - started
+        finally:
+            done.set()
+            for peer in peers:
+                peer.join(timeout=10)
+        assert not any(peer.is_alive() for peer in peers)
+    assert isinstance(timed_out, dnswire.DnsTimeout)
+    assert answered[0].answers == ["1.2.3.4"]
+    assert 0.6 <= elapsed < 1.0
+
+
+def test_exchange_garbled_reply_ends_only_its_socket():
+    with _bound_udp() as garbler, _bound_udp() as live:
+
+        def garble():
+            _, client = garbler.recvfrom(512)
+            garbler.sendto(b"\x00\x01garbage", client)
+
+        peers = [threading.Thread(target=garble), answer_one_query(live)]
+        peers[0].start()
+        try:
+            garbled, answered = dnswire.exchange(
+                [garbler.getsockname(), live.getsockname()], "a.test", timeout=2
+            )
+        finally:
+            for peer in peers:
+                peer.join(timeout=10)
+    assert isinstance(garbled, dnswire.DnsDecodeError)
+    assert answered[0].answers == ["1.2.3.4"]
+
+
+def test_exchange_unencodable_name_ends_every_lookup(monkeypatch):
+    monkeypatch.setattr(dnswire, "connect", lambda server: pytest.fail("opened a socket"))
+    results = dnswire.exchange([("127.0.0.1", 53), ("127.0.0.2", 53)], "a..test", timeout=1)
+    assert len(results) == 2 and all(isinstance(r, dnswire.DnsError) for r in results)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_exchange_closes_the_sockets_it_opens():
+    # one server on each path: no socket, a socket error, no reply, a reply
+    with _bound_udp() as silent, _bound_udp() as live:
+        servers = [("255.255.255.255", 53), ("127.0.0.1", 1), silent.getsockname(), live.getsockname()]
+        peer = answer_one_query(live)
+        before = len(os.listdir("/proc/self/fd"))
+        try:
+            broadcast, closed, timed_out, answered = dnswire.exchange(
+                servers, "a.test", timeout=0.3
+            )
+        finally:
+            peer.join(timeout=10)
+        assert len(os.listdir("/proc/self/fd")) == before
+    assert "255.255.255.255:53" in str(broadcast)
+    assert "127.0.0.1:1" in str(closed) and not isinstance(closed, dnswire.DnsTimeout)
+    assert isinstance(timed_out, dnswire.DnsTimeout)
+    assert answered[0].answers == ["1.2.3.4"]
+
+
+# what a peer sends back for one query: nothing, a valid reply, one with a
+# flipped txid, another question, the question in upper case, the query
+# itself (QR clear), or a valid reply cut short
+_PEER_REPLIES = st.sampled_from(
+    ["valid", "wrong-txid", "wrong-question", "upper-case", "echo", "truncated"]
+)
+
+
+def _peer_datagram(kind: str, query: bytes, cut: int) -> bytes:
+    msg = dnswire.decode_message(query)
+    txid = msg.txid ^ 1 if kind == "wrong-txid" else msg.txid
+    qname = {"wrong-question": "other.test", "upper-case": msg.qname.upper()}.get(kind, msg.qname)
+    reply = dnswire.encode_response(txid, qname, dnswire.RCODE_NOERROR, ["1.2.3.4"])
+    if kind == "echo":
+        return query
+    if kind == "truncated":
+        return reply[: cut % len(reply)]
+    return reply
+
+
+@settings(max_examples=40)
+@given(
+    plans=st.lists(
+        # per server, per query it receives: the datagrams sent back
+        st.lists(st.lists(st.tuples(_PEER_REPLIES, st.integers(0, 64)), max_size=3), max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+    retries=st.integers(0, 1),
+)
+def test_exchange_results_match_their_queries_or_are_dns_errors(plans, retries):
+    timeout = 0.03
+    done = threading.Event()
+    servers = [_bound_udp() for _ in plans]
+    received = [[] for _ in plans]
+
+    def peer(sock, plan, seen):
+        sock.settimeout(0.01)
+        while not done.is_set():
+            try:
+                data, client = sock.recvfrom(512)
+            except socket.timeout:
+                continue
+            seen.append(dnswire.decode_message(data).txid)
+            for kind, cut in plan[len(seen) - 1] if len(seen) <= len(plan) else []:
+                sock.sendto(_peer_datagram(kind, data, cut), client)
+
+    peers = [
+        threading.Thread(target=peer, args=args) for args in zip(servers, plans, received)
+    ]
+    for thread in peers:
+        thread.start()
+    try:
+        started = time.monotonic()
+        results = dnswire.exchange(
+            [s.getsockname() for s in servers], "a.test", timeout=timeout, retries=retries
+        )
+        elapsed = time.monotonic() - started
+    finally:
+        done.set()
+        for thread in peers:
+            thread.join(timeout=10)
+        for sock in servers:
+            sock.close()
+    assert not any(thread.is_alive() for thread in peers)
+    assert elapsed < (retries + 1) * timeout + 0.5
+    assert len(results) == len(plans)
+    for result, seen in zip(results, received):
+        if isinstance(result, dnswire.DnsError):
+            continue
+        msg, rtt = result
+        assert msg.txid in seen and msg.is_response and msg.qname.lower() == "a.test"
+        assert 0 <= rtt <= timeout + 0.5

@@ -860,6 +860,22 @@ class TestListenerSockets:
         assert [str(exc) for exc in raised] == ["handler fault"]
         caplog.clear()  # the one error this test expects
 
+    @pytest.mark.parametrize(
+        "reply, status",
+        [
+            (build_response(200, "OK", b"body\r\nwith a line end"), "HTTP/1.1 200 OK"),
+            (b"HTTP/1.1 200 OK with no line end", "HTTP/1.1 200 OK with no line end"),
+        ],
+        ids=["crlf", "no-crlf"],
+    )
+    def test_transcript_records_the_status_line_only(self, monkeypatch, reply, status):
+        monkeypatch.setattr(OriginStub, "response_for", lambda origin, host, uri: reply)
+        with start_emulator(make_policy(Generation.PassThrough, live_hosts=("a.test",))) as emu:
+            assert _raw_http(emu.proxy.endpoint, b"GET / HTTP/1.1\r\nHost: a.test\r\n\r\n") == reply
+            _wait_for(lambda: not emu.proxy.connections)
+            (session,) = emu.recorder.sessions
+        assert session.entries == [("in", "GET / HTTP/1.1"), ("out", status)]
+
     def test_start_needs_no_default_event_loop(self, monkeypatch):
         # Windows' default loop has no add_reader, so start() builds its own
         def default_loop():

@@ -2,6 +2,7 @@ import os
 import socket
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -106,6 +107,68 @@ class TestDnsStep:
         assert all(obs[r.name].outcome is DnsOutcome.Answers for r in reachable)
         assert result.tcp and all(t.result is TcpResult.Connected for t in result.tcp)
         assert result.keyword.status == 404 and result.http.status == 200
+
+    def test_garbled_reply_costs_only_its_resolver(self, passthrough_emulator):
+        config = probe_config_for(passthrough_emulator)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as garbler:
+            garbler.bind(("127.0.0.1", 0))
+            garbler.settimeout(5)
+
+            def garble():
+                _, client = garbler.recvfrom(512)
+                garbler.sendto(b"\x00\x01garbage", client)
+
+            peer = threading.Thread(target=garble)
+            peer.start()
+            resolver = ResolverSpec("Garbler", "127.0.0.1", port=garbler.getsockname()[1])
+            config.resolvers = [*config.resolvers, resolver]
+            try:
+                obs = dns_step(parse_target("http://site001.test"), config)
+            finally:
+                peer.join(timeout=10)
+        assert [o.outcome for o in obs[:-1]] == [DnsOutcome.Answers] * (len(obs) - 1)
+        assert obs[-1].outcome is DnsOutcome.ServFail
+
+    def test_silent_resolvers_cost_one_deadline_in_total(self, passthrough_emulator):
+        config = probe_config_for(passthrough_emulator)
+        live = len(config.resolvers)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as one, socket.socket(
+            socket.AF_INET, socket.SOCK_DGRAM
+        ) as two:
+            for silent in (one, two):
+                silent.bind(("127.0.0.1", 0))
+                config.resolvers.append(
+                    ResolverSpec("Silent", "127.0.0.1", port=silent.getsockname()[1])
+                )
+            config.dns_timeout_ms, config.retries = 300, 1
+            started = time.monotonic()
+            obs = dns_step(parse_target("http://site001.test"), config)
+            elapsed = time.monotonic() - started
+        # asked in turn, the two would cost 2 * (retries + 1) * 0.3 s
+        assert 0.6 <= elapsed < 1.2
+        assert all(o.outcome is DnsOutcome.Answers for o in obs[:live])
+        assert [o.outcome for o in obs[live:]] == [DnsOutcome.Timeout] * 2
+
+    def test_resolvers_sharing_an_address_share_one_worker_socket(
+        self, passthrough_emulator, monkeypatch
+    ):
+        config = replace(probe_config_for(passthrough_emulator), workers=1)
+        google = next(r for r in config.resolvers if r.name == "Google")
+        twin = ResolverSpec("GoogleTwin", google.address, port=google.port)
+        config.resolvers = [google, twin]
+        opened = []
+        real_connect = dnswire.connect
+        monkeypatch.setattr(
+            dnswire, "connect", lambda server: opened.append(server) or real_connect(server)
+        )
+        before = passthrough_emulator.request_counts()["Google"]
+        targets = [parse_target(f"http://site00{1 + i % 2}.test") for i in range(4)]
+        results = run_campaign(targets, config)
+        assert opened == [(google.address, google.port)]
+        assert passthrough_emulator.request_counts()["Google"] - before == 2 * len(targets)
+        for result in results:
+            assert [o.resolver for o in result.dns] == [google, twin]
+            assert all(o.outcome is DnsOutcome.Answers for o in result.dns)
 
 
 class TestCampaignSockets:
@@ -327,15 +390,21 @@ class TestRunCampaign:
     def test_unresolved_portal_is_looked_up_once(self, passthrough_emulator, monkeypatch):
         config = probe_config_for(passthrough_emulator)
         config.keyword_portal = parse_target("http://no-portal.test")
-        queried = []
-        real_query = dnswire.query
-        monkeypatch.setattr(
-            dnswire, "query", lambda *a, **kw: queried.append(a[1]) or real_query(*a, **kw)
-        )
+        looked_up = []
+        real_exchange = dnswire.exchange
+
+        def exchange(servers, qname, *args, **kwargs):
+            looked_up.extend([qname] * len(servers))
+            return real_exchange(servers, qname, *args, **kwargs)
+
+        monkeypatch.setattr(dnswire, "exchange", exchange)
+        before = passthrough_emulator.request_counts()
         targets = [parse_target(f"http://site001.test/{i}") for i in range(10)]
         results = run_campaign(targets, config)
-        assert len(queried) == len(config.resolvers) * (1 + len(targets))
-        assert queried.count("no-portal.test") == len(config.resolvers)
+        after = passthrough_emulator.request_counts()
+        queries = sum(after[r.name] - before[r.name] for r in config.resolvers)
+        assert queries == len(config.resolvers) * (1 + len(targets))
+        assert looked_up.count("no-portal.test") == len(config.resolvers)
         for result in results:
             assert result.errors == ("keyword: keyword portal did not resolve",)
 
