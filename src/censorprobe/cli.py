@@ -100,7 +100,8 @@ def cmd_clean(args) -> int:
     overrides = config.get("host_overrides", {})
 
     def clean_fetch(t):
-        address = overrides.get(t.host, t.host)  # fetch resolves a name itself
+        # fetch resolves a name itself; an IPv6 literal loses its URL brackets
+        address = overrides.get(t.host, t.host.strip("[]"))
         return httpwire.fetch(address, t.host, t.request_uri(), port=http_port).status
 
     liveness = None if config.get("skip_liveness") else clean_fetch

@@ -2,12 +2,19 @@
 
 Redirects are never followed; one request, one recorded response. The
 observation keeps a digest plus the first 4096 body bytes, enough to
-match warning-page fingerprints without storing full pages.
+match warning-page fingerprints without storing full pages. A request is
+started (connect and send, without waiting) and later finished (wait for
+the reply), so a caller can have other work in flight meanwhile; fetch()
+is the two in a row. Every socket is non-blocking, and select.poll does
+the waiting, so the client needs a POSIX system.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import os
+import select
 import socket
 import time
 
@@ -18,27 +25,6 @@ MAX_BODY = 1 << 20
 
 class HttpTransportError(OSError):
     pass
-
-
-def _settimeout_until(sock: socket.socket, deadline: float) -> None:
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        raise socket.timeout("timed out")
-    sock.settimeout(remaining)
-
-
-def _recv_all(sock: socket.socket, deadline: float, limit: int = MAX_BODY) -> bytes:
-    """Read to EOF (or `limit` bytes); socket.timeout once `deadline` passes."""
-    chunks = []
-    total = 0
-    while total < limit:
-        _settimeout_until(sock, deadline)
-        chunk = sock.recv(65536)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        total += len(chunk)
-    return b"".join(chunks)
 
 
 def _parse_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
@@ -87,6 +73,167 @@ def _dechunk(body: bytes) -> bytes:
     return bytes(out)
 
 
+def connect(sockaddr: tuple, family: int | None = None) -> socket.socket:
+    """A non-blocking TCP socket whose connect to sockaddr is under way (or
+    done). Its family is `family`, else IPv6 for an address with a colon and
+    IPv4 for any other. Raises the OSError of a connect that fails at once."""
+    if family is None:
+        family = socket.AF_INET6 if ":" in sockaddr[0] else socket.AF_INET
+    sock = socket.socket(family, socket.SOCK_STREAM)
+    try:
+        sock.setblocking(False)
+        err = sock.connect_ex(sockaddr)
+        if err and err != errno.EINPROGRESS:
+            raise OSError(err, os.strerror(err))
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
+def wait(sock: socket.socket, event: int, deadline: float) -> bool:
+    """Poll sock for event until `deadline`; False when it has not come. Past
+    the deadline it polls once without waiting, so what arrived in time
+    still counts however late the caller looks."""
+    poller = select.poll()
+    poller.register(sock, event)
+    while True:
+        remaining = deadline - time.monotonic()
+        if poller.poll(max(remaining, 0.0) * 1000.0):
+            return True
+        if remaining <= 0:
+            return False
+
+
+class Request:
+    """One GET on the wire: start() opens it and sends what the socket
+    takes, finish() reads the reply. Close one that is never finished."""
+
+    def __init__(self, address: str, host: str, uri: str, port: int, timeout: float):
+        self.address, self.host, self.uri, self.port = address, host, uri, port
+        self.deadline = time.monotonic() + timeout
+        self.unsent = (
+            f"GET {uri} HTTP/1.1\r\n"
+            f"Host: {host}\r\n"
+            f"Accept: */*\r\n"
+            f"Connection: close\r\n\r\n"
+        ).encode("latin-1")
+        self.sock: socket.socket | None = None
+        self.error: OSError | None = None
+        self.endpoints: list[tuple[int | None, tuple]] = []  # those not tried yet
+        self.chunks: list[bytes] = []
+        self.received = 0
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+
+    def _connect_next(self) -> None:
+        """Connect to the next endpoint; one that fails at once gives way to
+        the one after it, and the last one's error propagates."""
+        while True:
+            family, sockaddr = self.endpoints.pop(0)
+            try:
+                self.sock = connect(sockaddr, family)
+                return
+            except OSError:
+                if not self.endpoints:
+                    raise
+
+    def _send(self) -> int:
+        """Send what the socket takes now: POLLOUT while some is left, else 0."""
+        while self.unsent:
+            try:
+                sent = self.sock.send(self.unsent)
+            except BlockingIOError:
+                return select.POLLOUT
+            except OSError:
+                if not self.endpoints:
+                    raise
+                self.sock.close()  # this endpoint refused: try the next
+                self._connect_next()
+                continue
+            self.endpoints = []  # connected: no other address is tried
+            self.unsent = self.unsent[sent:]
+        return 0
+
+    def _read(self) -> int:
+        """Read what has arrived: POLLIN until EOF or MAX_BODY, then 0."""
+        while self.received < MAX_BODY:
+            try:
+                chunk = self.sock.recv(65536)
+            except BlockingIOError:
+                return select.POLLIN
+            if not chunk:
+                break
+            self.chunks.append(chunk)
+            self.received += len(chunk)
+        return 0
+
+    def finish(self) -> HttpObservation:
+        """Wait for the reply until EOF, MAX_BODY bytes or the deadline, then
+        close the socket. Raises HttpTransportError (an OSError) on connect
+        failure, timeout, reset, or an unparseable response."""
+        try:
+            if self.error is not None:
+                raise self.error
+            while event := self._send() or self._read():
+                if not wait(self.sock, event, self.deadline):
+                    raise TimeoutError("timed out")
+        except OSError as exc:
+            where = f"{self.host} via {self.address}:{self.port}"
+            raise HttpTransportError(f"{where}: {exc}") from exc
+        finally:
+            self.close()
+        status, headers, body = _parse_response(b"".join(self.chunks))
+        return HttpObservation(
+            request_host=self.host,
+            request_uri=self.uri,
+            status=status,
+            location=headers.get("location") if status in (301, 302) else None,
+            last_modified=headers.get("last-modified"),
+            body_digest=hashlib.sha256(body).hexdigest(),
+            body_excerpt=body[:EXCERPT_LIMIT],
+        )
+
+
+def _endpoints(address: str, port: int) -> list[tuple[int | None, tuple]]:
+    """(family, sockaddr) to try in turn: an IP literal as it is, its family
+    left to connect(); a name as each address one lookup gives."""
+    try:
+        if ":" not in address:  # an IPv6 literal; a name has no colon
+            socket.inet_pton(socket.AF_INET, address)
+    except OSError:
+        infos = socket.getaddrinfo(address, port, type=socket.SOCK_STREAM)
+        return [(family, sockaddr) for family, _, _, _, sockaddr in infos]
+    return [(None, (address, port))]
+
+
+def start(
+    address: str,
+    host: str,
+    uri: str,
+    port: int = 80,
+    timeout: float = 10.0,
+) -> Request:
+    """Open a GET of uri from address with the given Host header, and send
+    as much of it as the socket takes without waiting.
+
+    A name is looked up once and its addresses are tried in turn. `timeout`
+    runs from this call and bounds the whole exchange, however many
+    addresses are tried. Raises no OSError: Request.finish() reports it.
+    """
+    request = Request(address, host, uri, port, timeout)
+    try:
+        request.endpoints = _endpoints(address, port)
+        request._connect_next()
+        request._send()
+    except OSError as exc:
+        request.close()
+        request.error = exc
+    return request
+
+
 def fetch(
     address: str,
     host: str,
@@ -94,35 +241,9 @@ def fetch(
     port: int = 80,
     timeout: float = 10.0,
 ) -> HttpObservation:
-    """GET uri from address with the given Host header.
-
-    `timeout` bounds the whole exchange: connect, send and read. Raises
-    HttpTransportError (an OSError) on connect failure, timeout, reset, or
-    an unparseable response.
+    """GET uri from address with the given Host header: start(), then
+    finish(). `timeout` bounds the whole exchange: lookup results, connect,
+    send and read. Raises HttpTransportError (an OSError) on connect
+    failure, timeout, reset, or an unparseable response.
     """
-    request = (
-        f"GET {uri} HTTP/1.1\r\n"
-        f"Host: {host}\r\n"
-        f"Accept: */*\r\n"
-        f"Connection: close\r\n\r\n"
-    ).encode("latin-1")
-    deadline = time.monotonic() + timeout
-    try:
-        with socket.create_connection((address, port), timeout=timeout) as sock:
-            _settimeout_until(sock, deadline)
-            sock.sendall(request)
-            raw = _recv_all(sock, deadline)
-    except HttpTransportError:
-        raise
-    except OSError as exc:
-        raise HttpTransportError(f"{host} via {address}:{port}: {exc}") from exc
-    status, headers, body = _parse_response(raw)
-    return HttpObservation(
-        request_host=host,
-        request_uri=uri,
-        status=status,
-        location=headers.get("location") if status in (301, 302) else None,
-        last_modified=headers.get("last-modified"),
-        body_digest=hashlib.sha256(body).hexdigest(),
-        body_excerpt=body[:EXCERPT_LIMIT],
-    )
+    return start(address, host, uri, port, timeout).finish()

@@ -6,8 +6,11 @@ raising; results with a non-empty error log are excluded from reporting.
 
 from __future__ import annotations
 
+import os
+import select
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -94,27 +97,89 @@ def dns_step(target: TargetUrl, config: ProbeConfig) -> list[DnsObservation]:
     return observations
 
 
+class _Handshakes:
+    """A TCP handshake to each address, all opened at once; finish() waits
+    for them until one deadline. The socket's family follows the address,
+    so IPv4 and IPv6 both connect."""
+
+    def __init__(self, addresses: list[str], port: int, timeout: float):
+        self.addresses, self.port = addresses, port
+        self.deadline = time.monotonic() + timeout
+        # per address, its socket, or the OSError of a handshake that failed at once
+        self.opened: list[socket.socket | OSError] = []
+        for address in addresses:
+            try:
+                self.opened.append(httpwire.connect((address, port)))
+            except OSError as exc:
+                self.opened.append(exc)
+
+    def close(self) -> None:
+        for sock in self.opened:
+            if isinstance(sock, socket.socket):
+                sock.close()
+
+    def _outcome(self, sock: socket.socket) -> OSError | None:
+        """The error sock's handshake ended with, or None once it connected;
+        sock is closed."""
+        with sock:
+            if not httpwire.wait(sock, select.POLLOUT, self.deadline):
+                return TimeoutError()
+            err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            return OSError(err, os.strerror(err)) if err else None
+
+    def finish(self) -> list[TcpObservation]:
+        """One observation per address, its result picked by exception
+        class; every socket is closed."""
+        observations = []
+        try:
+            for address, sock in zip(self.addresses, self.opened):
+                error = sock if isinstance(sock, OSError) else self._outcome(sock)
+                if error is None:
+                    result = TcpResult.Connected
+                elif isinstance(error, ConnectionRefusedError):
+                    result = TcpResult.Refused
+                elif isinstance(error, TimeoutError):
+                    result = TcpResult.TimedOut
+                else:
+                    result = TcpResult.Unreachable
+                observations.append(TcpObservation(address, result, self.port))
+        finally:
+            self.close()
+        return observations
+
+
 def tcp_step(
     addresses: list[str], port: int = 80, timeout: float = 5.0
 ) -> list[TcpObservation]:
-    """3-way handshake per address; the socket is closed immediately. The
-    socket's family follows the address, so IPv4 and IPv6 both connect."""
-    observations = []
-    for address in addresses:
-        family = socket.AF_INET6 if ":" in address else socket.AF_INET
-        try:
-            with socket.socket(family, socket.SOCK_STREAM) as sock:
-                sock.settimeout(timeout)
-                sock.connect((address, port))
-            result = TcpResult.Connected
-        except ConnectionRefusedError:
-            result = TcpResult.Refused
-        except TimeoutError:
-            result = TcpResult.TimedOut
-        except OSError:
-            result = TcpResult.Unreachable
-        observations.append(TcpObservation(address, result, port))
-    return observations
+    """3-way handshake per address, all at once within one `timeout`; each
+    socket is closed as soon as its handshake ends. The socket's family
+    follows the address, so IPv4 and IPv6 both connect."""
+    return _Handshakes(addresses, port, timeout).finish()
+
+
+def _start_keyword(target: TargetUrl, config: ProbeConfig) -> httpwire.Request:
+    """Start the portal GET; raises HttpTransportError when the portal has
+    no address."""
+    portal_address = config.host_overrides.get(config.keyword_portal.host)
+    if portal_address is None:
+        raise httpwire.HttpTransportError("keyword portal did not resolve")
+    return httpwire.start(
+        portal_address,
+        config.keyword_portal.host,
+        "/" + target.render(),
+        port=config.http_port,
+        timeout=config.http_timeout_ms / 1000.0,
+    )
+
+
+def _start_http(target: TargetUrl, resolved: str, config: ProbeConfig) -> httpwire.Request:
+    return httpwire.start(
+        resolved,
+        target.host,
+        target.request_uri(),
+        port=config.http_port,
+        timeout=config.http_timeout_ms / 1000.0,
+    )
 
 
 def keyword_step(target: TargetUrl, config: ProbeConfig) -> HttpObservation:
@@ -126,27 +191,12 @@ def keyword_step(target: TargetUrl, config: ProbeConfig) -> HttpObservation:
     or when there is no such entry (the caller logs it and marks the step
     inconclusive).
     """
-    portal_address = config.host_overrides.get(config.keyword_portal.host)
-    if portal_address is None:
-        raise httpwire.HttpTransportError("keyword portal did not resolve")
-    return httpwire.fetch(
-        portal_address,
-        config.keyword_portal.host,
-        "/" + target.render(),
-        port=config.http_port,
-        timeout=config.http_timeout_ms / 1000.0,
-    )
+    return _start_keyword(target, config).finish()
 
 
 def http_step(target: TargetUrl, resolved: str, config: ProbeConfig) -> HttpObservation:
     """Single GET with Host: target.host; redirects recorded, not followed."""
-    return httpwire.fetch(
-        resolved,
-        target.host,
-        target.request_uri(),
-        port=config.http_port,
-        timeout=config.http_timeout_ms / 1000.0,
-    )
+    return _start_http(target, resolved, config).finish()
 
 
 def genuine_addresses(
@@ -163,29 +213,50 @@ def genuine_addresses(
     return seen
 
 
-def run_target(target: TargetUrl, config: ProbeConfig) -> TargetProbeResult:
-    """Execute steps 1-4 in order, keeping every observation collected."""
-    errors: list[str] = []
-    dns_obs = dns_step(target, config)
-
-    override = config.host_overrides.get(target.host)
-    addresses = [override] if override else genuine_addresses(dns_obs)
-    tcp_obs = tcp_step(
-        addresses, port=config.http_port, timeout=config.tcp_timeout_ms / 1000.0
-    )
-
-    keyword_obs = None
+def _finish(step: str, request: httpwire.Request, errors: list[str]) -> HttpObservation | None:
+    """The request's observation, or None with its error logged under step."""
     try:
-        keyword_obs = keyword_step(target, config)
+        return request.finish()
     except httpwire.HttpTransportError as exc:
-        errors.append(f"keyword: {exc}")
+        errors.append(f"{step}: {exc}")
+        return None
 
-    http_obs = None
-    if addresses:
+
+def run_target(target: TargetUrl, config: ProbeConfig) -> TargetProbeResult:
+    """Execute steps 1-4, overlapping those that do not wait on each other,
+    and keep every observation collected.
+
+    The keyword request goes out before the DNS lookups, since it needs
+    nothing from them. Once the addresses are known, the TCP handshakes are
+    opened and then the HTTP request goes out. Each request's timeout runs
+    from its own start. The handshakes, the keyword reply and the HTTP
+    reply are then awaited in that order, so the error log reads as if the
+    steps ran in turn.
+    """
+    errors: list[str] = []
+    keyword = handshakes = http = None
+    try:
         try:
-            http_obs = http_step(target, addresses[0], config)
+            keyword = _start_keyword(target, config)
         except httpwire.HttpTransportError as exc:
-            errors.append(f"http: {exc}")
+            errors.append(f"keyword: {exc}")
+        dns_obs = dns_step(target, config)
+
+        override = config.host_overrides.get(target.host)
+        addresses = [override] if override else genuine_addresses(dns_obs)
+        handshakes = _Handshakes(
+            addresses, config.http_port, config.tcp_timeout_ms / 1000.0
+        )
+        if addresses:
+            http = _start_http(target, addresses[0], config)
+
+        tcp_obs = handshakes.finish()
+        keyword_obs = keyword and _finish("keyword", keyword, errors)
+        http_obs = http and _finish("http", http, errors)
+    finally:
+        for started in (keyword, handshakes, http):
+            if started is not None:
+                started.close()
 
     return TargetProbeResult(
         target=target,

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import select
 import socket
 import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -111,6 +113,29 @@ def ipv6_loopback_socket(kind: int) -> socket.socket:
         sock.close()
         pytest.skip(f"::1 cannot be bound here: {exc}")
     return sock
+
+
+@contextmanager
+def full_listener():
+    """Yield the port of a loopback listener whose accept queue is full, so
+    the handshake of any further connection to it never completes."""
+    fillers = []
+    with socket.create_server(("127.0.0.1", 0), backlog=0) as server:
+        port = server.getsockname()[1]
+        try:
+            while len(fillers) < 8:
+                sock = socket.socket()
+                fillers.append(sock)
+                sock.setblocking(False)
+                sock.connect_ex(("127.0.0.1", port))
+                if not select.select([], [sock], [], 0.2)[1]:
+                    break  # this handshake hangs: the queue is full
+            else:
+                pytest.skip("a loopback listener's accept queue did not fill")
+            yield port
+        finally:
+            for sock in fillers:
+                sock.close()
 
 
 def answer_one_query(sock: socket.socket, address: str = "1.2.3.4") -> threading.Thread:

@@ -1,4 +1,6 @@
 import json
+import socket
+import threading
 
 import pytest
 
@@ -28,7 +30,7 @@ from censorprobe.model import (
 )
 from censorprobe.probe import ProbeConfig, TargetProbeResult
 
-from conftest import probe_config_for
+from conftest import ipv6_loopback_socket, probe_config_for
 
 
 def _write(path, text):
@@ -71,6 +73,35 @@ class TestClean:
 
     def test_missing_file_is_campaign_error(self, tmp_path, capsys):
         assert main(["clean", "--targets", str(tmp_path / "nope")]) == EXIT_CAMPAIGN
+
+    def test_reachable_ipv6_literal_target_is_kept(self, tmp_path, capsys):
+        with ipv6_loopback_socket(socket.SOCK_STREAM) as listener:
+            listener.listen()
+            listener.settimeout(5)
+
+            def serve_once():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)
+                    conn.sendall(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n")
+
+            peer = threading.Thread(target=serve_once)
+            peer.start()
+            targets = _write(tmp_path / "targets.txt", "http://[::1]/\n")
+            config = _write(
+                tmp_path / "clean.json",
+                json.dumps({"http_port": listener.getsockname()[1]}),
+            )
+            out = str(tmp_path / "cleaned.txt")
+            try:
+                code = main(["clean", "--targets", targets, "--config", config, "--out", out])
+            finally:
+                peer.join(timeout=10)
+            assert not peer.is_alive()
+        assert code == EXIT_OK
+        with open(out) as fh:
+            assert fh.read().splitlines() == ["http://[::1]/"]
+        assert "1 -> 1 -> 1 -> 1" in capsys.readouterr().out
 
 
 class TestProbeAndClassify:

@@ -1,4 +1,5 @@
 import os
+import select
 import socket
 import sys
 import threading
@@ -31,6 +32,7 @@ from conftest import (
     TEST_RESOLVERS,
     answer_one_query,
     fingerprints_for,
+    full_listener,
     ipv6_loopback_socket,
     make_policy,
     probe_config_for,
@@ -211,6 +213,7 @@ class TestCampaignSockets:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
     def test_campaign_leaves_no_descriptor_open(self, passthrough_emulator, monkeypatch):
         real_dns_step = probe.dns_step
+        real_finish = httpwire.Request.finish
 
         def dns_step(target, config):
             observations = real_dns_step(target, config)
@@ -218,16 +221,27 @@ class TestCampaignSockets:
                 raise RuntimeError("after its lookups")
             return observations
 
+        def finish(request):
+            # the keyword request of a /late target: the handshake and the
+            # HTTP request have started too
+            if request.host == "www.google.com" and "/late" in request.uri:
+                raise RuntimeError("with its requests started")
+            return real_finish(request)
+
         monkeypatch.setattr(probe, "dns_step", dns_step)
+        monkeypatch.setattr(httpwire.Request, "finish", finish)
         config = replace(probe_config_for(passthrough_emulator), workers=3)
         del config.host_overrides["www.google.com"]  # the campaign resolves the portal
-        targets = [parse_target(f"http://site00{1 + i % 2}.test/{i}") for i in range(6)]
+        paths = ("site001.test/", "site002.test/", "site001.test/late")
+        targets = [parse_target(f"http://{paths[i % 3]}{i}") for i in range(9)]
         before = len(os.listdir("/proc/self/fd"))
         results = run_campaign(targets, config)
         assert len(os.listdir("/proc/self/fd")) == before
         logged = ("probe: RuntimeError: after its lookups",)
-        assert [r.errors for r in results[1::2]] == [logged] * 3
-        assert all(r.errors == () and r.http.status == 200 for r in results[::2])
+        assert [r.errors for r in results[1::3]] == [logged] * 3
+        logged = ("probe: RuntimeError: with its requests started",)
+        assert [r.errors for r in results[2::3]] == [logged] * 3
+        assert all(r.errors == () and r.http.status == 200 for r in results[::3])
 
     def test_resolver_without_a_socket_costs_one_servfail_per_target(self, passthrough_emulator):
         config = probe_config_for(passthrough_emulator)
@@ -276,6 +290,14 @@ class TestTcpStep:
         obs = tcp_step(["192.0.2.1"], port=80, timeout=0.5)
         assert obs[0].result is not TcpResult.Connected
         assert obs[0].result is expected
+
+
+    def test_handshakes_share_one_timeout(self):
+        with full_listener() as port:
+            started = time.monotonic()
+            obs = tcp_step(["127.0.0.1", "127.0.0.1"], port=port, timeout=0.3)
+            assert time.monotonic() - started < 0.45
+        assert [o.result for o in obs] == [TcpResult.TimedOut] * 2
 
 
 class TestKeywordStep:
@@ -361,6 +383,61 @@ class TestRunTarget:
         assert result.http is None
 
 
+    def test_hanging_keyword_and_http_cost_one_timeout(self):
+        policy = make_policy(
+            Generation.PassThrough,
+            live_hosts=("stuck.test", "www.google.com"),
+            blackhole_hosts=("stuck.test", "www.google.com"),
+        )
+        with start_emulator(policy, blackhole_delay=5) as emu:
+            config = probe_config_for(emu)
+            config.http_timeout_ms = 1000
+            started = time.monotonic()
+            result = run_target(parse_target("http://stuck.test"), config)
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.5
+        assert [e.split(":")[0] for e in result.errors] == ["keyword", "http"]
+        assert all(e.endswith("timed out") for e in result.errors)
+        assert result.keyword is None and result.http is None
+
+    def test_keyword_reply_counts_after_a_silent_resolver(self, passthrough_emulator):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent:
+            silent.bind(("127.0.0.1", 0))
+            config = probe_config_for(passthrough_emulator)
+            quiet = ResolverSpec("Silent", "127.0.0.1", port=silent.getsockname()[1])
+            config.resolvers = [quiet, *config.resolvers]
+            config.dns_timeout_ms, config.retries, config.http_timeout_ms = 600, 0, 300
+            result = run_target(parse_target("http://site001.test"), config)
+        assert result.dns[0].outcome is DnsOutcome.Timeout
+        assert result.errors == ()
+        assert result.keyword.status == 404 and result.http.status == 200
+
+    def test_keyword_request_goes_out_before_the_lookups(
+        self, passthrough_emulator, monkeypatch
+    ):
+        queued = []
+        real_exchange = dnswire.exchange
+
+        def exchange(*args, **kwargs):
+            # the keyword request's connection, if it is already under way
+            if select.select([portal], [], [], 1.0)[0]:
+                portal.accept()[0].close()
+                queued.append(True)
+            else:
+                queued.append(False)
+            return real_exchange(*args, **kwargs)
+
+        monkeypatch.setattr(dnswire, "exchange", exchange)
+        with socket.create_server(("127.0.0.1", 0)) as portal:
+            config = probe_config_for(passthrough_emulator)
+            config.host_overrides["www.google.com"] = "127.0.0.1"
+            config.http_port = portal.getsockname()[1]
+            config.http_timeout_ms = 300
+            result = run_target(parse_target("http://site001.test"), config)
+        assert queued == [True]
+        assert result.errors[0].startswith("keyword: ")
+
+
 class TestRunCampaign:
     def test_order_preserved(self, passthrough_emulator):
         config = probe_config_for(passthrough_emulator)
@@ -417,20 +494,20 @@ class TestRunCampaign:
         )
         redirectors = {r.nxdomain_redirector for r in TEST_RESOLVERS} - {None}
         fetched = []
-        real_fetch = httpwire.fetch
+        real_start = httpwire.start
 
-        def fetch(address, *args, **kwargs):
+        def start(address, *args, **kwargs):
             fetched.append(address)
             if address in redirectors:  # a redirector is not on this machine
                 raise httpwire.HttpTransportError(f"{address} is a redirector")
-            return real_fetch(address, *args, **kwargs)
+            return real_start(address, *args, **kwargs)
 
-        monkeypatch.setattr(httpwire, "fetch", fetch)
+        monkeypatch.setattr(httpwire, "start", start)
         with start_emulator(policy) as emu:
             config = probe_config_for(emu)
             del config.host_overrides["www.google.com"]  # the campaign resolves it
             (result,) = run_campaign([parse_target("http://site001.test")], config)
-        assert not redirectors & set(fetched)
+        assert fetched and not redirectors & set(fetched)
         assert result.errors == ("keyword: keyword portal did not resolve",)
         assert result.http.status == 200
 
