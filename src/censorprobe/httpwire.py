@@ -111,6 +111,7 @@ class Request:
 
     def __init__(self, address: str, host: str, uri: str, port: int, timeout: float):
         self.address, self.host, self.uri, self.port = address, host, uri, port
+        self.timeout = timeout
         self.deadline = time.monotonic() + timeout
         self.unsent = (
             f"GET {uri} HTTP/1.1\r\n"
@@ -172,11 +173,16 @@ class Request:
 
     def finish(self) -> HttpObservation:
         """Wait for the reply until EOF, MAX_BODY bytes or the deadline, then
-        close the socket. Raises HttpTransportError (an OSError) on connect
-        failure, timeout, reset, or an unparseable response."""
+        close the socket. The deadline is `timeout` after start() if the GET
+        went out then; if some of it has not (its connect was still under
+        way), it is `timeout` from now, since nothing sent it meanwhile.
+        Raises HttpTransportError (an OSError) on connect failure, timeout,
+        reset, or an unparseable response."""
         try:
             if self.error is not None:
                 raise self.error
+            if self.unsent:
+                self.deadline = max(self.deadline, time.monotonic() + self.timeout)
             while event := self._send() or self._read():
                 if not wait(self.sock, event, self.deadline):
                     raise TimeoutError("timed out")
@@ -220,8 +226,10 @@ def start(
     as much of it as the socket takes without waiting.
 
     A name is looked up once and its addresses are tried in turn. `timeout`
-    runs from this call and bounds the whole exchange, however many
-    addresses are tried. Raises no OSError: Request.finish() reports it.
+    bounds the whole exchange, however many addresses are tried. It runs
+    from this call when the GET goes out at once, as when the connect
+    completes inside it (loopback); else from Request.finish(), which sends
+    the GET. Raises no OSError: Request.finish() reports it.
     """
     request = Request(address, host, uri, port, timeout)
     try:
@@ -242,8 +250,9 @@ def fetch(
     timeout: float = 10.0,
 ) -> HttpObservation:
     """GET uri from address with the given Host header: start(), then
-    finish(). `timeout` bounds the whole exchange: lookup results, connect,
-    send and read. Raises HttpTransportError (an OSError) on connect
-    failure, timeout, reset, or an unparseable response.
+    finish(). `timeout` bounds the whole exchange after a name's lookup:
+    the connect to each of its addresses, the send and the read. Raises
+    HttpTransportError (an OSError) on connect failure, timeout, reset, or
+    an unparseable response.
     """
     return start(address, host, uri, port, timeout).finish()

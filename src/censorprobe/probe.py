@@ -226,12 +226,17 @@ def run_target(target: TargetUrl, config: ProbeConfig) -> TargetProbeResult:
     """Execute steps 1-4, overlapping those that do not wait on each other,
     and keep every observation collected.
 
-    The keyword request goes out before the DNS lookups, since it needs
+    The keyword request is started before the DNS lookups, since it needs
     nothing from them. Once the addresses are known, the TCP handshakes are
-    opened and then the HTTP request goes out. Each request's timeout runs
-    from its own start. The handshakes, the keyword reply and the HTTP
-    reply are then awaited in that order, so the error log reads as if the
-    steps ran in turn.
+    opened and then the HTTP request is started. The handshakes, the
+    keyword reply and the HTTP reply are then awaited in that order, so the
+    error log reads as if the steps ran in turn.
+
+    A request's GET goes out at its start only if its connect completes
+    there, as on loopback; its timeout then runs from its start. Else only
+    the connect overlaps the earlier steps: the GET goes out when the reply
+    is awaited, and the timeout runs from then, as when the steps ran in
+    turn.
     """
     errors: list[str] = []
     keyword = handshakes = http = None

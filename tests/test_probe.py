@@ -412,6 +412,59 @@ class TestRunTarget:
         assert result.errors == ()
         assert result.keyword.status == 404 and result.http.status == 200
 
+    def test_keyword_connect_that_outlasts_the_timeout_still_gets_its_reply(
+        self, monkeypatch
+    ):
+        # The portal's accept queue is full when the keyword request starts,
+        # so its connect is still under way and its GET cannot go out. The
+        # queue is drained during the DNS wait; the connect completes when
+        # its SYN is resent (about 1 s on Linux), past http_timeout, and the
+        # GET goes out when the probe comes back to the request.
+        unsent = []
+        real_start = httpwire.start
+
+        def start(*args, **kwargs):
+            request = real_start(*args, **kwargs)
+            unsent.append(bool(request.unsent))
+            return request
+
+        def drain_then_answer():
+            time.sleep(0.2)
+            portal.accept()[0].close()  # the filler: the queue has room again
+            conn, _ = portal.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.1 404 Not Found\r\nConnection: close\r\n\r\n")
+
+        monkeypatch.setattr(httpwire, "start", start)
+        with (
+            socket.create_server(("127.0.0.1", 0), backlog=0) as portal,
+            socket.create_connection(portal.getsockname()),  # fills the queue
+            socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as silent,
+        ):
+            silent.bind(("127.0.0.1", 0))
+            portal.settimeout(5)
+            peer = threading.Thread(target=drain_then_answer)
+            peer.start()
+            config = ProbeConfig(
+                resolvers=[ResolverSpec("Silent", "127.0.0.1", port=silent.getsockname()[1])],
+                dns_timeout_ms=1500,
+                retries=0,
+                http_timeout_ms=700,
+                host_overrides={"www.google.com": "127.0.0.1"},
+                http_port=portal.getsockname()[1],
+            )
+            try:
+                result = run_target(parse_target("http://site001.test"), config)
+            finally:
+                peer.join(timeout=10)
+            assert not peer.is_alive()
+        if unsent != [True]:
+            pytest.skip("the keyword connect completed at once: the queue did not fill")
+        assert result.dns[0].outcome is DnsOutcome.Timeout
+        assert result.errors == ()
+        assert result.keyword.status == 404
+
     def test_keyword_request_goes_out_before_the_lookups(
         self, passthrough_emulator, monkeypatch
     ):
