@@ -2,7 +2,7 @@
 that asks many servers at once.
 
 Only what the probe and emulator need: QTYPE A, QCLASS IN, compression
-pointers on decode. Encoding never emits pointers.
+pointers on decode. The one pointer encoded is c0 0c, the owner of each answer.
 """
 
 from __future__ import annotations
@@ -52,53 +52,49 @@ def encode_name(name: str) -> bytes:
 def decode_name(data: bytes, offset: int) -> tuple[str, int]:
     """Decode a possibly-compressed name; returns (name, next offset)."""
     labels = []
-    jumped = False
-    end = offset
-    hops = 0
-    while True:
-        if offset >= len(data):
-            raise DnsDecodeError("truncated name")
+    end = hops = 0  # end is set at the first pointer
+    while offset < len(data):
         length = data[offset]
-        if length & 0xC0 == 0xC0:
-            if offset + 1 >= len(data):
-                raise DnsDecodeError("truncated pointer")
-            pointer = ((length & 0x3F) << 8) | data[offset + 1]
-            if not jumped:
-                end = offset + 2
-                jumped = True
-            offset = pointer
-            hops += 1
-            if hops > 32:
-                raise DnsDecodeError("pointer loop")
-        elif length & 0xC0:
-            raise DnsDecodeError("reserved label type")
-        elif length == 0:
-            if not jumped:
-                end = offset + 1
-            return ".".join(labels), end
-        else:
-            if offset + 1 + length > len(data):
-                raise DnsDecodeError("truncated label")
+        if 0 < length < 0x40:
             label = data[offset + 1 : offset + 1 + length]
+            if len(label) < length:
+                raise DnsDecodeError("truncated label")
             if not label.isascii() or b"." in label:
                 # a dotted-string name could not carry it back to the wire
                 raise DnsDecodeError(f"unrepresentable label {label!r}")
-            labels.append(label.decode("ascii"))
+            labels.append(label)
             offset += 1 + length
+        elif length == 0:
+            return b".".join(labels).decode("ascii"), end or offset + 1
+        elif length < 0xC0:
+            raise DnsDecodeError("reserved label type")
+        elif offset + 1 >= len(data):
+            raise DnsDecodeError("truncated pointer")
+        else:
+            end = end or offset + 2
+            offset = ((length & 0x3F) << 8) | data[offset + 1]
+            hops += 1
+            if hops > 32:
+                raise DnsDecodeError("pointer loop")
+    raise DnsDecodeError("truncated name")
 
 
+_HEADER = struct.Struct(">HHHHHH")
+_RECORD = struct.Struct(">HHIH")  # type, class, ttl, rdlength
 _QUESTION_TAIL = struct.pack(">HH", QTYPE_A, QCLASS_IN)
+_QNAME_POINTER = b"\xc0\x0c"  # the question name, at offset 12
+_A_RECORD = _QNAME_POINTER + _RECORD.pack(QTYPE_A, QCLASS_IN, 60, 4)  # ttl 60 s
 
 
 def _query_header(txid: int) -> bytes:
-    return struct.pack(">HHHHHH", txid, 0x0100, 1, 0, 0, 0)  # RD set
+    return _HEADER.pack(txid, 0x0100, 1, 0, 0, 0)  # RD set
 
 
 def encode_query(txid: int, qname: str) -> bytes:
     return _query_header(txid) + encode_name(qname) + _QUESTION_TAIL
 
 
-@dataclass
+@dataclass(slots=True)
 class DnsMessage:
     txid: int
     is_response: bool
@@ -108,54 +104,55 @@ class DnsMessage:
     answers: list[str] = field(default_factory=list)  # A-record addresses only
 
 
-def decode_message(data: bytes) -> DnsMessage:
+def decode_fields(data: bytes) -> tuple[int, int, str, bytes | None, int, list[str]]:
+    """The one decoder: (txid, flags, qname, the question name's wire bytes or
+    None when they hold a pointer, qtype, A-record addresses). An answer owner
+    that is c0 0c, a pointer to an uncompressed question name, is not decoded again."""
     if len(data) < 12:
         raise DnsDecodeError("message shorter than header")
-    txid, flags, qdcount, ancount, _, _ = struct.unpack(">HHHHHH", data[:12])
+    txid, flags, qdcount, ancount, _, _ = _HEADER.unpack_from(data)
     if qdcount != 1:
         raise DnsDecodeError(f"expected one question, got {qdcount}")
     qname, offset = decode_name(data, 12)
     if offset + 4 > len(data):
         raise DnsDecodeError("truncated question")
-    qtype, _qclass = struct.unpack(">HH", data[offset : offset + 4])
+    # a name read without a pointer takes exactly its encoded length
+    name = data[12:offset] if offset - 12 == (len(qname) + 2 if qname else 1) else None
+    qtype = data[offset] << 8 | data[offset + 1]
     offset += 4
     answers = []
     for _ in range(ancount):
-        _, offset = decode_name(data, offset)
+        if name is not None and data[offset : offset + 2] == _QNAME_POINTER:
+            offset += 2
+        else:
+            offset = decode_name(data, offset)[1]
         if offset + 10 > len(data):
             raise DnsDecodeError("truncated answer header")
-        rtype, _rclass, _ttl, rdlength = struct.unpack(
-            ">HHIH", data[offset : offset + 10]
-        )
+        rtype, _, _, rdlength = _RECORD.unpack_from(data, offset)
         offset += 10
         if offset + rdlength > len(data):
             raise DnsDecodeError("truncated rdata")
         if rtype == QTYPE_A and rdlength == 4:
             answers.append(socket.inet_ntoa(data[offset : offset + 4]))
         offset += rdlength
-    return DnsMessage(
-        txid=txid,
-        is_response=bool(flags & 0x8000),
-        rcode=flags & 0x000F,
-        qname=qname,
-        qtype=qtype,
-        answers=answers,
-    )
+    return txid, flags, qname, name, qtype, answers
 
 
-def encode_response(
-    txid: int, qname: str, rcode: int, answers: list[str] | None = None, ttl: int = 60
-) -> bytes:
-    answers = answers or []
-    flags = 0x8180 | (rcode & 0x0F)  # QR, RD, RA
-    header = struct.pack(">HHHHHH", txid, flags, 1, len(answers), 0, 0)
-    question = encode_name(qname) + struct.pack(">HH", QTYPE_A, QCLASS_IN)
-    body = bytearray(header + question)
-    for addr in answers:
-        body += b"\xc0\x0c"  # pointer to qname in the question
-        body += struct.pack(">HHIH", QTYPE_A, QCLASS_IN, ttl, 4)
-        body += socket.inet_aton(addr)
-    return bytes(body)
+def decode_message(data: bytes) -> DnsMessage:
+    txid, flags, qname, _, qtype, answers = decode_fields(data)
+    return DnsMessage(txid, bool(flags & 0x8000), flags & 0x000F, qname, qtype, answers)
+
+
+def encode_reply(txid: int, name: bytes, rcode: int, answers: list[str]) -> bytes:
+    """The one reply builder: the A/IN question for `name`, given in wire
+    form, and one A record per address, each owned by a pointer to it."""
+    header = _HEADER.pack(txid, 0x8180 | (rcode & 0x0F), 1, len(answers), 0, 0)  # QR, RD, RA
+    records = [_A_RECORD + socket.inet_aton(addr) for addr in answers]
+    return b"".join([header, name, _QUESTION_TAIL, *records])
+
+
+def encode_response(txid: int, qname: str, rcode: int, answers: list[str] | None = None) -> bytes:
+    return encode_reply(txid, encode_name(qname), rcode, answers or [])
 
 
 def _socket_error(server: tuple[str, int], exc: OSError) -> DnsError:

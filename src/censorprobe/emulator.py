@@ -167,10 +167,10 @@ class CensorPolicy:
         return best[1] if best else None
 
     def dns_blocked(self, qname: str) -> bool:
-        return any(p in self._dns_rules for p in _host_patterns(qname))
+        return not self._dns_rules.isdisjoint(_host_patterns(qname))
 
     def blackholed(self, host: str) -> bool:
-        return any(p in self._blackhole_hosts for p in _host_patterns(host))
+        return not self._blackhole_hosts.isdisjoint(_host_patterns(host))
 
 
 def _str_list(value) -> tuple[str, ...]:
@@ -288,12 +288,12 @@ class DnsListener:
         self.loop: asyncio.AbstractEventLoop | None = None
 
     def open(self, loop: asyncio.AbstractEventLoop) -> None:
-        loop.add_reader(self.sock, self.read)
+        loop.add_reader(self.sock.fileno(), self.read)
         self.loop = loop
 
     def close(self) -> None:
         if self.loop is not None:
-            self.loop.remove_reader(self.sock)
+            self.loop.remove_reader(self.sock.fileno())
             self.loop = None
         self.sock.close()
 
@@ -316,16 +316,17 @@ class DnsListener:
                 pass
 
     def answer(self, data: bytes) -> bytes | None:
-        """The reply to one datagram; None when it is too short to echo a txid."""
+        """The reply to one datagram; None when it is too short to echo a txid.
+        It copies the question name as sent, so it keeps its case (RFC 4343)."""
         try:
-            msg = dnswire.decode_message(data)
+            txid, _, qname, name, _, _ = dnswire.decode_fields(data)
         except dnswire.DnsDecodeError:
-            # header-only FORMERR; the question was not decodable
+            name = None
+        if name is None:  # header-only FORMERR; a pointer in the question has no target
             return data[:2] + b"\x81\x81" + b"\x00" * 8 if len(data) >= 2 else None
-        # names are case-insensitive (RFC 4343); the reply echoes the question as sent
-        kind, addrs = handle_dns(self.policy, msg.qname.lower(), self.resolver)
+        kind, addrs = handle_dns(self.policy, qname.lower(), self.resolver)
         rcode = dnswire.RCODE_NOERROR if kind == "A" else dnswire.RCODE_NXDOMAIN
-        return dnswire.encode_response(msg.txid, msg.qname, rcode, addrs)
+        return dnswire.encode_reply(txid, name, rcode, addrs)
 
 
 # --- HTTP side ------------------------------------------------------------
@@ -403,7 +404,7 @@ class _HttpConnection:
             self.head += data
             if not data or b"\r\n\r\n" in self.head or len(self.head) >= _MAX_HEAD:
                 if self.reading:
-                    self.listener.loop.remove_reader(self.sock)
+                    self.listener.loop.remove_reader(self.sock.fileno())
                     self.reading = False
                 try:
                     self._dispatch()
@@ -412,7 +413,7 @@ class _HttpConnection:
                     raise  # for the loop to log
                 return
         if not self.reading:
-            self.listener.loop.add_reader(self.sock, self.read)
+            self.listener.loop.add_reader(self.sock.fileno(), self.read)
             self.reading = True
 
     def _dispatch(self) -> None:
@@ -451,16 +452,16 @@ class _HttpConnection:
             return
         self.unsent = memoryview(self.unsent)[sent:]
         if not self.writing:
-            self.listener.loop.add_writer(self.sock, self.write)
+            self.listener.loop.add_writer(self.sock.fileno(), self.write)
             self.writing = True
 
     def close(self) -> None:
         """Close the socket and end the session; cancels a blackhole timer."""
         loop = self.listener.loop
         if self.reading:
-            loop.remove_reader(self.sock)
+            loop.remove_reader(self.sock.fileno())
         if self.writing:
-            loop.remove_writer(self.sock)
+            loop.remove_writer(self.sock.fileno())
         self.sock.close()
         self.listener.connections.discard(self)
         if self.pending is not None:
@@ -487,14 +488,14 @@ class _HttpListener:
         self._resume: asyncio.TimerHandle | None = None
 
     def open(self, loop: asyncio.AbstractEventLoop) -> None:
-        loop.add_reader(self.sock, self.accept)
+        loop.add_reader(self.sock.fileno(), self.accept)
         self.loop = loop
 
     def close(self) -> None:
         for conn in list(self.connections):
             conn.close()
         if self.loop is not None:
-            self.loop.remove_reader(self.sock)
+            self.loop.remove_reader(self.sock.fileno())
             self.loop = None
         if self._resume is not None:
             self._resume.cancel()
@@ -518,7 +519,7 @@ class _HttpListener:
                 self.loop.call_exception_handler(
                     {"message": "socket.accept() out of system resource", "exception": exc}
                 )
-                self.loop.remove_reader(self.sock)
+                self.loop.remove_reader(self.sock.fileno())
                 self._resume = self.loop.call_later(_ACCEPT_RETRY_DELAY, self.open, self.loop)
                 return
             sock.setblocking(False)

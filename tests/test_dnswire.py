@@ -118,6 +118,55 @@ def test_decoded_qname_goes_back_on_the_wire(data):
     assert dnswire.decode_message(reply).qname == msg.qname
 
 
+_A_RECORD = struct.Struct(">HHIH").pack(dnswire.QTYPE_A, dnswire.QCLASS_IN, 60, 4)
+
+
+@given(
+    _names,
+    st.lists(
+        st.tuples(
+            st.sampled_from(["pointer", "full", "labels+pointer", "suffix"]),
+            st.integers(0, 0xFFFFFFFF).map(lambda n: socket.inet_ntoa(struct.pack(">I", n))),
+        ),
+        max_size=4,
+    ),
+    st.integers(0, 0xFFFF),
+)
+def test_answers_are_the_same_whatever_form_their_owner_name_takes(name, records, txid):
+    question = dnswire.encode_name(name)
+    suffix = 12 + 1 + question[0] if "." in name else 12  # the name's second label
+    owners = {
+        "pointer": b"\xc0\x0c",  # the question name
+        "full": question,
+        "labels+pointer": b"\x03www\xc0\x0c",
+        "suffix": struct.pack(">H", 0xC000 | suffix),
+    }
+    data = struct.pack(">HHHHHH", txid, 0x8180, 1, len(records), 0, 0)
+    data += question + b"\x00\x01\x00\x01"
+    for form, addr in records:
+        data += owners[form] + _A_RECORD + socket.inet_aton(addr)
+    msg = dnswire.decode_message(data)
+    assert (msg.txid, msg.qname) == (txid, name)
+    assert msg.answers == [addr for _, addr in records]
+
+
+@pytest.mark.parametrize("hops, decodes", [(31, True), (32, False)])
+def test_answer_owned_by_c00c_counts_the_question_names_pointer_hops(hops, decodes):
+    # the question name is `hops` pointers in a row ending at the root, the
+    # most one name may take being 32; the answer's c0 0c adds one more
+    record = b"\xc0\x0c" + _A_RECORD + bytes(4)
+    chain_at = 12 + 2 + 4 + len(record)
+    chain = b"".join(struct.pack(">H", 0xC000 | chain_at + 2 * i) for i in range(1, hops))
+    data = struct.pack(">HHHHHH", 1, 0x8180, 1, 1, 0, 0) + struct.pack(">H", 0xC000 | chain_at)
+    data += b"\x00\x01\x00\x01" + record + chain + b"\x00"
+    assert dnswire.decode_name(data, 12) == ("", 14)
+    if decodes:
+        assert dnswire.decode_message(data).answers == ["0.0.0.0"]
+    else:
+        with pytest.raises(dnswire.DnsDecodeError, match="pointer loop"):
+            dnswire.decode_message(data)
+
+
 # both fail at once: nothing listens on a closed loopback port, and a
 # broadcast address needs SO_BROADCAST
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from censorprobe import dnswire, emulator, httpwire
 from censorprobe.emulator import (
     CensorPolicy,
+    DnsListener,
     Emulator,
     Generation,
     OriginStub,
@@ -502,7 +503,9 @@ class TestDnsListener:
         header = struct.pack(">HHHHHH", 0xBEEF, 0x0100, 1, 0, 0, 0)
         non_ascii = header + b"\x02\xc3\xbc\x04test\x00\x00\x01\x00\x01"
         dotted = header + b"\x01.\x00\x00\x01\x00\x01"
-        for query in (b"\xde\xad\xbe", non_ascii, dotted):
+        # a pointer in the question name has no earlier name to point to
+        compressed = header + b"\xc0\x07\x00\x01\x00\x01"
+        for query in (b"\xde\xad\xbe", non_ascii, dotted, compressed):
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             sock.settimeout(2)
             try:
@@ -524,6 +527,80 @@ class TestDnsListener:
             data, _ = sock.recvfrom(512)
         msg = dnswire.decode_message(data)
         assert (msg.txid, msg.rcode, msg.qname) == (0xCAFE, dnswire.RCODE_NXDOMAIN, "")
+
+
+_LISTED = ("blocked.test", "alive.test", "a" * 63 + ".test")
+
+
+@st.composite
+def _queries(draw) -> tuple[bytes, bool]:
+    """A query datagram, and whether its question name holds a pointer.
+
+    The name is a listed one in mixed case or random labels (up to 63
+    bytes, any byte), ended by the root or a pointer; then any qtype and
+    qclass, maybe an answer record, an EDNS OPT record or random bytes, and
+    maybe a cut at a random length."""
+    listed = draw(st.sampled_from(_LISTED))
+    swapped = draw(st.lists(st.booleans(), min_size=len(listed), max_size=len(listed)))
+    mixed = "".join(c.swapcase() if swap else c for c, swap in zip(listed, swapped))
+    labels = draw(
+        st.just(mixed.encode().split(b"."))
+        | st.lists(st.binary(min_size=1, max_size=63), max_size=4)
+    )
+    pointer = draw(st.none() | st.integers(0, 0x3FFF))
+    name = b"".join(bytes([len(label)]) + label for label in labels)
+    name += b"\x00" if pointer is None else struct.pack(">H", 0xC000 | pointer)
+    header = struct.pack(
+        ">HHHHHH",
+        draw(st.integers(0, 0xFFFF)),
+        draw(st.sampled_from([0x0100, 0x0000, 0x8180]) | st.integers(0, 0xFFFF)),
+        draw(st.sampled_from([1, 1, 1, 0, 2])),
+        draw(st.sampled_from([0, 0, 1])),
+        0,
+        draw(st.integers(0, 1)),
+    )
+    qtype = draw(st.sampled_from([dnswire.QTYPE_A, 28, 16, 255]))
+    question = struct.pack(">HH", qtype, draw(st.sampled_from([1, 3])))
+    record = b"\xc0\x0c" + struct.pack(">HHIH", 1, 1, 60, 4) + bytes(4)
+    opt = b"\x00" + struct.pack(">HHIH", 41, 4096, 0, 0)
+    extra = draw(st.sampled_from([b"", record, opt]) | st.binary(max_size=20))
+    data = header + name + question + extra
+    return data[: draw(st.none() | st.integers(0, len(data)))], pointer is not None
+
+
+def _decoded_reply(listener: DnsListener, data: bytes) -> bytes | None:
+    """The reply built by decoding the query into a DnsMessage and encoding
+    its name again."""
+    try:
+        msg = dnswire.decode_message(data)
+    except dnswire.DnsDecodeError:
+        return data[:2] + b"\x81\x81" + b"\x00" * 8 if len(data) >= 2 else None
+    kind, addrs = handle_dns(listener.policy, msg.qname.lower(), listener.resolver)
+    rcode = dnswire.RCODE_NOERROR if kind == "A" else dnswire.RCODE_NXDOMAIN
+    return dnswire.encode_response(msg.txid, msg.qname, rcode, addrs)
+
+
+@pytest.fixture(scope="module")
+def norton_listener():
+    policy = make_policy(
+        Generation.Ixp200,
+        dns_rules=("blocked.test",),
+        http_host_rules=("blocked.test",),
+        live_hosts=_LISTED[1:],
+    )
+    listener = DnsListener(policy, RESOLVERS["Norton"])
+    yield listener
+    listener.close()
+
+
+@given(_queries())
+def test_answer_copying_the_question_equals_decode_and_encode(norton_listener, query):
+    data, compressed = query
+    reply = norton_listener.answer(data)
+    if compressed:  # FORMERR, whatever follows
+        assert reply == (data[:2] + b"\x81\x81" + b"\x00" * 8 if len(data) >= 2 else None)
+    else:
+        assert reply == _decoded_reply(norton_listener, data)
 
 
 def _wait_for(predicate, timeout: float = 5.0) -> None:

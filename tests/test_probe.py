@@ -615,9 +615,10 @@ class TestRunCampaign:
             live_hosts=("alive.test", "stuck.test", "www.google.com"),
             blackhole_hosts=("stuck.test",),
         )
-        with start_emulator(policy, blackhole_delay=2.0) as emu:
+        # the blackholed connection stays open past the probe's HTTP timeout
+        with start_emulator(policy, blackhole_delay=1.0) as emu:
             config = probe_config_for(emu)
-            config.http_timeout_ms = 1500
+            config.http_timeout_ms = 300
             results = run_campaign(
                 [parse_target("http://alive.test"), parse_target("http://stuck.test")],
                 config,
