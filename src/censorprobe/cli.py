@@ -225,7 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_positive_int)
+    p.add_argument(
+        "--workers", type=_positive_int,
+        help="targets in flight at once, all on one thread and one poll loop; each "
+        "in-flight slot keeps one socket per resolver address (default: the config's)",
+    )
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("classify", help="turn probe results into verdicts")

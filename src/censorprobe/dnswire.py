@@ -12,7 +12,10 @@ import select
 import socket
 import struct
 import time
+from collections.abc import Generator
 from dataclasses import dataclass, field
+
+from .loop import drive
 
 QTYPE_A = 1
 QCLASS_IN = 1
@@ -180,6 +183,97 @@ def connect(server: tuple[str, int]) -> socket.socket:
     return sock
 
 
+def exchange_steps(
+    servers: list[tuple[str, int]],
+    qname: str,
+    timeout: float,
+    retries: int = 0,
+    socks: dict[tuple[str, int], socket.socket] | None = None,
+) -> Generator[tuple, list, list[tuple[DnsMessage, float] | DnsError]]:
+    """exchange() as a step generator (see loop): it waits by yielding the
+    sockets it reads and the attempt's deadline."""
+    try:
+        question = encode_name(qname) + _QUESTION_TAIL
+    except DnsError as exc:
+        return [exc] * len(servers)
+    asked = qname.rstrip(".").lower()
+    results: list[tuple[DnsMessage, float] | DnsError | None] = [None] * len(servers)
+    owned: dict[tuple[str, int], socket.socket] = {}
+    by_fd: dict[int, tuple[socket.socket, tuple[str, int]]] = {}
+    fd_of: dict[int, int] = {}  # server index -> its socket's fd
+    pending: dict[tuple[int, int], int] = {}  # (fd, txid) in flight -> server index
+    sent = [0.0] * len(servers)  # when each server's latest query went out
+
+    def end(fd: int, error: DnsError) -> None:
+        for key in [key for key in pending if key[0] == fd]:
+            results[pending.pop(key)] = error
+
+    try:
+        for index, server in enumerate(servers):
+            sock = (socks or {}).get(server) or owned.get(server)
+            if sock is None:
+                try:
+                    sock = owned[server] = connect(server)
+                except DnsError as exc:
+                    results[index] = exc
+                    continue
+            fd = fd_of[index] = sock.fileno()
+            by_fd[fd] = sock, server
+        watch = [(fd, select.POLLIN) for fd in by_fd]
+        waiting = list(fd_of)
+        for _ in range(retries + 1):
+            if not waiting:
+                break
+            deadline = time.monotonic() + timeout
+            for index in waiting:
+                fd = fd_of[index]
+                txid = random.randrange(0x10000)
+                while (fd, txid) in pending:
+                    txid = (txid + 1) & 0xFFFF
+                pending[fd, txid] = index
+                sent[index] = time.monotonic()
+                try:
+                    by_fd[fd][0].send(_query_header(txid) + question)
+                except BlockingIOError:
+                    pass  # a full send buffer drops it, as the network may
+                except OSError as exc:
+                    end(fd, _socket_error(servers[index], exc))
+            while pending:
+                ready = yield watch, deadline
+                for fd, _ in ready:
+                    sock, server = by_fd[fd]
+                    try:
+                        data = sock.recv(4096)
+                    except BlockingIOError:
+                        continue
+                    except OSError as exc:
+                        end(fd, _socket_error(server, exc))
+                        continue
+                    received = time.monotonic()
+                    try:
+                        msg = decode_message(data)
+                    except DnsDecodeError as exc:
+                        end(fd, exc)
+                        continue
+                    index = pending.get((fd, msg.txid))
+                    if index is not None and msg.is_response and msg.qname.lower() == asked:
+                        del pending[fd, msg.txid]
+                        results[index] = (msg, received - sent[index])
+                if not ready or time.monotonic() >= deadline:
+                    break
+            waiting = sorted(pending.values())
+            pending.clear()
+    finally:
+        for sock in owned.values():
+            sock.close()
+    for index in waiting:
+        server = servers[index]
+        results[index] = DnsTimeout(
+            f"no reply from {server[0]}:{server[1]} in {retries + 1} attempts"
+        )
+    return results
+
+
 def exchange(
     servers: list[tuple[str, int]],
     qname: str,
@@ -203,85 +297,7 @@ def exchange(
     port, ends only the queries pending on that socket; a name that cannot
     be encoded ends every lookup; DnsTimeout ends those never answered.
     """
-    try:
-        question = encode_name(qname) + _QUESTION_TAIL
-    except DnsError as exc:
-        return [exc] * len(servers)
-    asked = qname.rstrip(".").lower()
-    results: list[tuple[DnsMessage, float] | DnsError | None] = [None] * len(servers)
-    owned: dict[tuple[str, int], socket.socket] = {}
-    by_fd: dict[int, tuple[socket.socket, tuple[str, int]]] = {}
-    fd_of: dict[int, int] = {}  # server index -> its socket's fd
-    pending: dict[tuple[int, int], int] = {}  # (fd, txid) in flight -> server index
-    sent = [0.0] * len(servers)  # when each server's latest query went out
-
-    def end(fd: int, error: DnsError) -> None:
-        for key in [key for key in pending if key[0] == fd]:
-            results[pending.pop(key)] = error
-
-    poller = select.poll()
-    try:
-        for index, server in enumerate(servers):
-            sock = (socks or {}).get(server) or owned.get(server)
-            if sock is None:
-                try:
-                    sock = owned[server] = connect(server)
-                except DnsError as exc:
-                    results[index] = exc
-                    continue
-            fd = fd_of[index] = sock.fileno()
-            if fd not in by_fd:
-                by_fd[fd] = sock, server
-                poller.register(fd, select.POLLIN)
-        waiting = list(fd_of)
-        for _ in range(retries + 1):
-            if not waiting:
-                break
-            deadline = time.monotonic() + timeout
-            for index in waiting:
-                fd = fd_of[index]
-                txid = random.randrange(0x10000)
-                while (fd, txid) in pending:
-                    txid = (txid + 1) & 0xFFFF
-                pending[fd, txid] = index
-                sent[index] = time.monotonic()
-                try:
-                    by_fd[fd][0].send(_query_header(txid) + question)
-                except BlockingIOError:
-                    pass  # a full send buffer drops it, as the network may
-                except OSError as exc:
-                    end(fd, _socket_error(servers[index], exc))
-            while pending and (remaining := deadline - time.monotonic()) > 0:
-                for fd, _ in poller.poll(remaining * 1000):
-                    sock, server = by_fd[fd]
-                    try:
-                        data = sock.recv(4096)
-                    except BlockingIOError:
-                        continue
-                    except OSError as exc:
-                        end(fd, _socket_error(server, exc))
-                        continue
-                    received = time.monotonic()
-                    try:
-                        msg = decode_message(data)
-                    except DnsDecodeError as exc:
-                        end(fd, exc)
-                        continue
-                    index = pending.get((fd, msg.txid))
-                    if index is not None and msg.is_response and msg.qname.lower() == asked:
-                        del pending[fd, msg.txid]
-                        results[index] = (msg, received - sent[index])
-            waiting = sorted(pending.values())
-            pending.clear()
-    finally:
-        for sock in owned.values():
-            sock.close()
-    for index in waiting:
-        server = servers[index]
-        results[index] = DnsTimeout(
-            f"no reply from {server[0]}:{server[1]} in {retries + 1} attempts"
-        )
-    return results
+    return drive(exchange_steps(servers, qname, timeout, retries, socks))
 
 
 def query(

@@ -5,8 +5,8 @@ observation keeps a digest plus the first 4096 body bytes, enough to
 match warning-page fingerprints without storing full pages. A request is
 started (connect and send, without waiting) and later finished (wait for
 the reply), so a caller can have other work in flight meanwhile; fetch()
-is the two in a row. Every socket is non-blocking, and select.poll does
-the waiting, so the client needs a POSIX system.
+is the two in a row. Every socket is non-blocking, and the waiting is left
+to a loop on select.poll (see loop), so the client needs a POSIX system.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ import os
 import select
 import socket
 import time
+from collections.abc import Generator
 
+from .loop import drive
 from .model import EXCERPT_LIMIT, HttpObservation
 
 MAX_BODY = 1 << 20
@@ -89,20 +91,6 @@ def connect(sockaddr: tuple, family: int | None = None) -> socket.socket:
         sock.close()
         raise
     return sock
-
-
-def wait(sock: socket.socket, event: int, deadline: float) -> bool:
-    """Poll sock for event until `deadline`; False when it has not come. Past
-    the deadline it polls once without waiting, so what arrived in time
-    still counts however late the caller looks."""
-    poller = select.poll()
-    poller.register(sock, event)
-    while True:
-        remaining = deadline - time.monotonic()
-        if poller.poll(max(remaining, 0.0) * 1000.0):
-            return True
-        if remaining <= 0:
-            return False
 
 
 class Request:
@@ -178,13 +166,17 @@ class Request:
         way), it is `timeout` from now, since nothing sent it meanwhile.
         Raises HttpTransportError (an OSError) on connect failure, timeout,
         reset, or an unparseable response."""
+        return drive(self.steps())
+
+    def steps(self) -> Generator[tuple, list, HttpObservation]:
+        """finish() as a step generator (see loop)."""
         try:
             if self.error is not None:
                 raise self.error
             if self.unsent:
                 self.deadline = max(self.deadline, time.monotonic() + self.timeout)
             while event := self._send() or self._read():
-                if not wait(self.sock, event, self.deadline):
+                if not (yield [(self.sock.fileno(), event)], self.deadline):
                     raise TimeoutError("timed out")
         except OSError as exc:
             where = f"{self.host} via {self.address}:{self.port}"

@@ -9,13 +9,12 @@ from __future__ import annotations
 import os
 import select
 import socket
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Generator
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
-from . import dnswire, httpwire
+from . import dnswire, httpwire, loop
 from .model import (
     DnsObservation,
     DnsOutcome,
@@ -52,6 +51,15 @@ class ProbeConfig:
         if self.workers < 1 or self.retries < 0:
             raise ValueError("workers must be at least 1 and retries at least 0")
         check_port(self.http_port, "http_port")
+        for host, address in self.host_overrides.items():
+            # a name would need a blocking lookup, which would stall the
+            # campaign's loop with every target in flight
+            try:
+                socket.inet_pton(socket.AF_INET6 if ":" in address else socket.AF_INET, address)
+            except (OSError, TypeError, ValueError):
+                raise ValueError(
+                    f"host_overrides: {host}: {address!r} is not an IP address"
+                ) from None
 
 
 @dataclass
@@ -64,18 +72,20 @@ class TargetProbeResult:
     errors: tuple[str, ...] = ()
 
 
-# the resolver sockets of the campaign worker running on this thread
-_worker = threading.local()
-
-
 def dns_step(target: TargetUrl, config: ProbeConfig) -> list[DnsObservation]:
     """One A lookup per configured resolver, all sent at once; failures
-    become outcomes. Inside a campaign worker, each lookup uses the worker's
-    socket."""
-    replies = dnswire.exchange(
+    become outcomes."""
+    return loop.drive(dns_steps(target, config))
+
+
+def dns_steps(
+    target: TargetUrl, config: ProbeConfig, sockets: dict | None = None
+) -> Generator[tuple, list, list[DnsObservation]]:
+    """dns_step as a step generator (see loop); `sockets` maps a resolver
+    address to the socket its lookups use, as dnswire.exchange's `socks`."""
+    replies = yield from dnswire.exchange_steps(
         [(r.address, r.port) for r in config.resolvers], target.host,
-        timeout=config.dns_timeout_ms / 1000.0, retries=config.retries,
-        socks=getattr(_worker, "sockets", None),
+        timeout=config.dns_timeout_ms / 1000.0, retries=config.retries, socks=sockets,
     )
     observations = []
     for resolver, reply in zip(config.resolvers, replies):
@@ -98,9 +108,9 @@ def dns_step(target: TargetUrl, config: ProbeConfig) -> list[DnsObservation]:
 
 
 class _Handshakes:
-    """A TCP handshake to each address, all opened at once; finish() waits
-    for them until one deadline. The socket's family follows the address,
-    so IPv4 and IPv6 both connect."""
+    """A TCP handshake to each address, all opened at once; finish() or
+    steps() waits for them until one deadline. The socket's family follows
+    the address, so IPv4 and IPv6 both connect."""
 
     def __init__(self, addresses: list[str], port: int, timeout: float):
         self.addresses, self.port = addresses, port
@@ -118,11 +128,11 @@ class _Handshakes:
             if isinstance(sock, socket.socket):
                 sock.close()
 
-    def _outcome(self, sock: socket.socket) -> OSError | None:
+    def _outcome(self, sock: socket.socket) -> Generator[tuple, list, OSError | None]:
         """The error sock's handshake ended with, or None once it connected;
         sock is closed."""
         with sock:
-            if not httpwire.wait(sock, select.POLLOUT, self.deadline):
+            if not (yield [(sock.fileno(), select.POLLOUT)], self.deadline):
                 return TimeoutError()
             err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
             return OSError(err, os.strerror(err)) if err else None
@@ -130,10 +140,14 @@ class _Handshakes:
     def finish(self) -> list[TcpObservation]:
         """One observation per address, its result picked by exception
         class; every socket is closed."""
+        return loop.drive(self.steps())
+
+    def steps(self) -> Generator[tuple, list, list[TcpObservation]]:
+        """finish() as a step generator (see loop)."""
         observations = []
         try:
             for address, sock in zip(self.addresses, self.opened):
-                error = sock if isinstance(sock, OSError) else self._outcome(sock)
+                error = sock if isinstance(sock, OSError) else (yield from self._outcome(sock))
                 if error is None:
                     result = TcpResult.Connected
                 elif isinstance(error, ConnectionRefusedError):
@@ -213,10 +227,12 @@ def genuine_addresses(
     return seen
 
 
-def _finish(step: str, request: httpwire.Request, errors: list[str]) -> HttpObservation | None:
+def _finish(
+    step: str, request: httpwire.Request, errors: list[str]
+) -> Generator[tuple, list, HttpObservation | None]:
     """The request's observation, or None with its error logged under step."""
     try:
-        return request.finish()
+        return (yield from request.steps())
     except httpwire.HttpTransportError as exc:
         errors.append(f"{step}: {exc}")
         return None
@@ -238,6 +254,13 @@ def run_target(target: TargetUrl, config: ProbeConfig) -> TargetProbeResult:
     is awaited, and the timeout runs from then, as when the steps ran in
     turn.
     """
+    return loop.drive(target_steps(target, config))
+
+
+def target_steps(
+    target: TargetUrl, config: ProbeConfig, sockets: dict | None = None
+) -> Generator[tuple, list, TargetProbeResult]:
+    """run_target as a step generator (see loop); `sockets` as for dns_steps."""
     errors: list[str] = []
     keyword = handshakes = http = None
     try:
@@ -245,7 +268,7 @@ def run_target(target: TargetUrl, config: ProbeConfig) -> TargetProbeResult:
             keyword = _start_keyword(target, config)
         except httpwire.HttpTransportError as exc:
             errors.append(f"keyword: {exc}")
-        dns_obs = dns_step(target, config)
+        dns_obs = yield from dns_steps(target, config, sockets)
 
         override = config.host_overrides.get(target.host)
         addresses = [override] if override else genuine_addresses(dns_obs)
@@ -255,9 +278,9 @@ def run_target(target: TargetUrl, config: ProbeConfig) -> TargetProbeResult:
         if addresses:
             http = _start_http(target, addresses[0], config)
 
-        tcp_obs = handshakes.finish()
-        keyword_obs = keyword and _finish("keyword", keyword, errors)
-        http_obs = http and _finish("http", http, errors)
+        tcp_obs = yield from handshakes.steps()
+        keyword_obs = keyword and (yield from _finish("keyword", keyword, errors))
+        http_obs = http and (yield from _finish("http", http, errors))
     finally:
         for started in (keyword, handshakes, http):
             if started is not None:
@@ -273,25 +296,16 @@ def run_target(target: TargetUrl, config: ProbeConfig) -> TargetProbeResult:
     )
 
 
-def _run_isolated(target: TargetUrl, config: ProbeConfig) -> TargetProbeResult:
-    """run_target, with anything it raises logged on this target's result."""
-    try:
-        return run_target(target, config)
-    except Exception as exc:
-        return TargetProbeResult(
-            target=target, errors=(f"probe: {type(exc).__name__}: {exc}",)
-        )
-
-
 def run_campaign(
     targets: list[TargetUrl], config: ProbeConfig
 ) -> list[TargetProbeResult]:
     """One pass over the target list; output order equals input order.
 
-    At most `workers` worker threads take the targets in turn; each keeps
-    one socket per resolver for the whole campaign. No target can lose the
-    campaign: an exception raised while probing one becomes an error-log
-    entry on its result.
+    Up to `workers` targets are in flight at once, all on the calling
+    thread and one poll (see loop): each in-flight slot takes the next
+    target as its last one ends, and keeps one socket per resolver address
+    for the whole campaign. No target can lose the campaign: an exception
+    raised while probing one becomes an error-log entry on its result.
     """
     if not targets:
         return []
@@ -305,32 +319,27 @@ def run_campaign(
             config = replace(config, host_overrides=overrides)
     results: list[TargetProbeResult | None] = [None] * len(targets)
     pending = iter(enumerate(targets))
-    lock = threading.Lock()
 
-    def work() -> None:
-        # one connected socket per resolver address for this worker's life; a
-        # resolver whose socket cannot be opened gets none, so each of its
+    def slot() -> Generator[tuple, list, None]:
+        # a resolver whose socket cannot be opened gets none, so each of its
         # queries opens its own, fails, and costs one ServFail observation
-        sockets = _worker.sockets = {}
+        sockets = {}
         try:
             for resolver in config.resolvers:
                 server = (resolver.address, resolver.port)
                 if server not in sockets:
                     with suppress(dnswire.DnsError):
                         sockets[server] = dnswire.connect(server)
-            while True:
-                with lock:
-                    item = next(pending, None)
-                if item is None:
-                    return
-                results[item[0]] = _run_isolated(item[1], config)
+            for index, target in pending:
+                try:
+                    results[index] = yield from target_steps(target, config, sockets)
+                except Exception as exc:
+                    results[index] = TargetProbeResult(
+                        target=target, errors=(f"probe: {type(exc).__name__}: {exc}",)
+                    )
         finally:
-            del _worker.sockets
             for sock in sockets.values():
                 sock.close()
 
-    workers = min(config.workers, len(targets))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for done in [pool.submit(work) for _ in range(workers)]:
-            done.result()
+    loop.run([slot() for _ in range(min(config.workers, len(targets)))])
     return results

@@ -305,6 +305,10 @@ MALFORMED_INPUTS = {
         "policy", json.dumps({"generation": "Ixp200", "warning_body": 5}), "warning_body"
     ),
     "probe-zero-workers": ("probe", json.dumps({**_PROBE, "workers": 0}), None),
+    "probe-override-name": (
+        "probe", json.dumps({**_PROBE, "host_overrides": {"a.test": "a.example"}}),
+        "host_overrides",
+    ),
     "probe-negative-retries": ("probe", json.dumps({**_PROBE, "retries": -1}), None),
     "probe-http-port-range": ("probe", json.dumps({**_PROBE, "http_port": 70000}), None),
     "probe-resolver-port-range": (

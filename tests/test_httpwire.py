@@ -1,4 +1,3 @@
-import select
 import socket
 import threading
 import time
@@ -6,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from censorprobe.httpwire import HttpTransportError, _parse_response, fetch, start, wait
+from censorprobe.httpwire import HttpTransportError, _parse_response, fetch, start
 
 from conftest import full_listener
 
@@ -152,11 +151,3 @@ def test_start_reports_its_errors_from_finish():
         with pytest.raises(HttpTransportError, match="a.test via 127.0.0.1:.*refused"):
             request.finish()
 
-
-def test_wait_past_the_deadline_still_sees_what_arrived():
-    ready, idle = socket.socketpair()
-    with ready, idle:
-        idle.send(b"x")
-        past = time.monotonic() - 1
-        assert wait(ready, select.POLLIN, past)
-        assert not wait(idle, select.POLLIN, past)

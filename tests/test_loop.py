@@ -1,0 +1,83 @@
+import select
+import socket
+import time
+
+import pytest
+
+from censorprobe.loop import drive, run
+
+
+def _wait(sock, deadline):
+    """A step generator that waits once for sock to be readable."""
+    return (yield [(sock.fileno(), select.POLLIN)], deadline)
+
+
+def test_wait_past_the_deadline_still_sees_what_arrived():
+    ready, idle = socket.socketpair()
+    with ready, idle:
+        idle.send(b"x")
+        past = time.monotonic() - 1
+        assert drive(_wait(ready, past)) == [(ready.fileno(), select.POLLIN)]
+        assert drive(_wait(idle, past)) == []
+
+
+def test_a_task_is_resumed_with_only_its_own_ready_descriptors():
+    one, one_peer = socket.socketpair()
+    two, two_peer = socket.socketpair()
+    with one, one_peer, two, two_peer:
+        one_peer.send(b"x")
+        two_peer.send(b"x")
+        soon = time.monotonic() + 5
+        assert run([_wait(one, soon), _wait(two, soon)]) == [
+            [(one.fileno(), select.POLLIN)],
+            [(two.fileno(), select.POLLIN)],
+        ]
+
+
+def test_results_keep_task_order_and_each_deadline_holds():
+    def sleep(seconds):
+        started = time.monotonic()
+        assert (yield [], started + seconds) == []
+        return time.monotonic() - started
+
+    started = time.monotonic()
+    slept = run([sleep(0.2), sleep(0.0), sleep(0.1)])
+    assert time.monotonic() - started < 0.35  # side by side, not in turn
+    assert slept[0] >= 0.2 and slept[2] >= 0.1 and slept[1] < 0.1
+
+
+def test_deadlines_superseded_many_times_lose_no_live_one():
+    def busy(sock, count):
+        # woken at once every time, each time with a later deadline
+        for i in range(count):
+            assert (yield [(sock.fileno(), select.POLLIN)], time.monotonic() + 60 + i)
+        return count
+
+    def sleep(seconds):
+        started = time.monotonic()
+        assert (yield [], started + seconds) == []
+        return time.monotonic() - started >= seconds
+
+    ready, peer = socket.socketpair()
+    with ready, peer, ready.dup() as twin:
+        peer.send(b"x")
+        assert run([busy(ready, 5000), sleep(0.01), busy(twin, 10)]) == [5000, True, 10]
+
+
+def test_a_task_that_raises_closes_the_others():
+    closed = []
+
+    def waiting():
+        try:
+            yield [], time.monotonic() + 60
+        finally:
+            closed.append(True)
+
+    def failing():
+        yield [], time.monotonic()
+        raise RuntimeError("boom")
+
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="boom"):
+        run([waiting(), failing()])
+    assert closed == [True] and time.monotonic() - started < 5

@@ -1,7 +1,6 @@
 import os
 import select
 import socket
-import sys
 import threading
 import time
 from dataclasses import replace
@@ -52,6 +51,20 @@ UNREACHABLE_RESOLVERS = [
     ResolverSpec("ClosedPort", "127.0.0.1", port=1),
     ResolverSpec("Broadcast", "255.255.255.255"),
 ]
+
+
+class TestProbeConfig:
+    @pytest.mark.parametrize("address", ["127.0.0.1", "::1", "2001:db8::5"])
+    def test_override_takes_an_ip_literal(self, address):
+        config = ProbeConfig(resolvers=list(TEST_RESOLVERS), host_overrides={"a.test": address})
+        assert config.host_overrides == {"a.test": address}
+
+    @pytest.mark.parametrize(
+        "address", ["a.example", "localhost", "[::1]", "1.2.3", "", "1.2.3.4\x00", 5, None]
+    )
+    def test_override_that_is_not_an_ip_literal_is_rejected(self, address):
+        with pytest.raises(ValueError, match="host_overrides: a.test: .* is not an IP address"):
+            ProbeConfig(resolvers=list(TEST_RESOLVERS), host_overrides={"a.test": address})
 
 
 class TestDnsStep:
@@ -175,7 +188,11 @@ class TestDnsStep:
 
 class TestCampaignSockets:
     def test_each_worker_opens_one_socket_per_resolver(self, passthrough_emulator, monkeypatch):
+        # each of the 2 in-flight slots: one socket per resolver address
         config = replace(probe_config_for(passthrough_emulator), workers=2)
+        google = next(r for r in config.resolvers if r.name == "Google")
+        twin = ResolverSpec("GoogleTwin", google.address, port=google.port)
+        config.resolvers = [*config.resolvers, twin]
         opened = []
         real_connect = dnswire.connect
         monkeypatch.setattr(
@@ -184,58 +201,81 @@ class TestCampaignSockets:
         targets = [parse_target(f"http://site001.test/{i}") for i in range(8)]
         results = run_campaign(targets, config)
         assert all(r.errors == () and len(r.dns) == len(config.resolvers) for r in results)
-        servers = [(r.address, r.port) for r in config.resolvers]
-        assert sorted(opened) == sorted(servers * 2)
+        servers = {(r.address, r.port) for r in config.resolvers}
+        assert sorted(opened) == sorted([*servers] * 2)
 
     def test_workers_take_each_target_once(self, monkeypatch):
         probed = []
 
-        def run_target(target, config):
+        def target_steps(target, config, sockets=None):
+            # a few waits of no length, so that the slots interleave
+            for _ in range(len(probed) % 3):
+                yield [], time.monotonic()
             probed.append(target)
             return probe.TargetProbeResult(target)
 
-        monkeypatch.setattr(probe, "run_target", run_target)
+        monkeypatch.setattr(probe, "target_steps", target_steps)
         config = ProbeConfig(
             resolvers=[ResolverSpec("Discard", "127.0.0.1", port=9)],
             host_overrides={"www.google.com": "127.0.0.1"},
             workers=8,
         )
         targets = [parse_target(f"http://site{i}.test") for i in range(2000)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = run_campaign(targets, config)
-        finally:
-            sys.setswitchinterval(interval)
+        results = run_campaign(targets, config)
         assert [r.target for r in results] == targets
         assert sorted(t.host for t in probed) == sorted(t.host for t in targets)
 
+    def test_results_keep_input_order_whatever_order_targets_finish_in(self, monkeypatch):
+        finished = []
+
+        def target_steps(target, config, sockets=None):
+            # the later a target in the list, the sooner it finishes
+            yield [], time.monotonic() + 0.01 * (10 - int(target.host[4:-5]))
+            finished.append(target)
+            return probe.TargetProbeResult(target)
+
+        monkeypatch.setattr(probe, "target_steps", target_steps)
+        config = ProbeConfig(
+            resolvers=[ResolverSpec("Discard", "127.0.0.1", port=9)],
+            host_overrides={"www.google.com": "127.0.0.1"},
+            workers=10,
+        )
+        targets = [parse_target(f"http://site{i}.test") for i in range(10)]
+        results = run_campaign(targets, config)
+        assert finished == targets[::-1]
+        assert [r.target for r in results] == targets
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
     def test_campaign_leaves_no_descriptor_open(self, passthrough_emulator, monkeypatch):
-        real_dns_step = probe.dns_step
-        real_finish = httpwire.Request.finish
+        real_dns_steps = probe.dns_steps
+        real_steps = httpwire.Request.steps
 
-        def dns_step(target, config):
-            observations = real_dns_step(target, config)
+        def dns_steps(target, config, sockets=None):
+            observations = yield from real_dns_steps(target, config, sockets)
             if target.host == "site002.test":
                 raise RuntimeError("after its lookups")
             return observations
 
-        def finish(request):
+        def steps(request):
             # the keyword request of a /late target: the handshake and the
             # HTTP request have started too
             if request.host == "www.google.com" and "/late" in request.uri:
                 raise RuntimeError("with its requests started")
-            return real_finish(request)
+            return (yield from real_steps(request))
 
-        monkeypatch.setattr(probe, "dns_step", dns_step)
-        monkeypatch.setattr(httpwire.Request, "finish", finish)
+        monkeypatch.setattr(probe, "dns_steps", dns_steps)
+        monkeypatch.setattr(httpwire.Request, "steps", steps)
         config = replace(probe_config_for(passthrough_emulator), workers=3)
         del config.host_overrides["www.google.com"]  # the campaign resolves the portal
         paths = ("site001.test/", "site002.test/", "site001.test/late")
         targets = [parse_target(f"http://{paths[i % 3]}{i}") for i in range(9)]
         before = len(os.listdir("/proc/self/fd"))
         results = run_campaign(targets, config)
+        # the in-process emulator closes its ends of the last connections
+        # on its own thread, a moment after the probe has closed its own
+        settled = time.monotonic() + 2
+        while len(os.listdir("/proc/self/fd")) != before and time.monotonic() < settled:
+            time.sleep(0.01)
         assert len(os.listdir("/proc/self/fd")) == before
         logged = ("probe: RuntimeError: after its lookups",)
         assert [r.errors for r in results[1::3]] == [logged] * 3
@@ -469,18 +509,18 @@ class TestRunTarget:
         self, passthrough_emulator, monkeypatch
     ):
         queued = []
-        real_exchange = dnswire.exchange
+        real_exchange_steps = dnswire.exchange_steps
 
-        def exchange(*args, **kwargs):
+        def exchange_steps(*args, **kwargs):
             # the keyword request's connection, if it is already under way
             if select.select([portal], [], [], 1.0)[0]:
                 portal.accept()[0].close()
                 queued.append(True)
             else:
                 queued.append(False)
-            return real_exchange(*args, **kwargs)
+            return (yield from real_exchange_steps(*args, **kwargs))
 
-        monkeypatch.setattr(dnswire, "exchange", exchange)
+        monkeypatch.setattr(dnswire, "exchange_steps", exchange_steps)
         with socket.create_server(("127.0.0.1", 0)) as portal:
             config = probe_config_for(passthrough_emulator)
             config.host_overrides["www.google.com"] = "127.0.0.1"
@@ -521,13 +561,13 @@ class TestRunCampaign:
         config = probe_config_for(passthrough_emulator)
         config.keyword_portal = parse_target("http://no-portal.test")
         looked_up = []
-        real_exchange = dnswire.exchange
+        real_exchange_steps = dnswire.exchange_steps
 
-        def exchange(servers, qname, *args, **kwargs):
+        def exchange_steps(servers, qname, *args, **kwargs):
             looked_up.extend([qname] * len(servers))
-            return real_exchange(servers, qname, *args, **kwargs)
+            return (yield from real_exchange_steps(servers, qname, *args, **kwargs))
 
-        monkeypatch.setattr(dnswire, "exchange", exchange)
+        monkeypatch.setattr(dnswire, "exchange_steps", exchange_steps)
         before = passthrough_emulator.request_counts()
         targets = [parse_target(f"http://site001.test/{i}") for i in range(10)]
         results = run_campaign(targets, config)
@@ -586,14 +626,14 @@ class TestRunCampaign:
     def test_exception_for_one_target_is_logged_on_it(
         self, passthrough_emulator, monkeypatch
     ):
-        real_dns_step = probe.dns_step
+        real_dns_steps = probe.dns_steps
 
-        def dns_step(target, config):
+        def dns_steps(target, config, sockets=None):
             if target.host == "site002.test":
                 raise OSError(101, "Network is unreachable")
-            return real_dns_step(target, config)
+            return (yield from real_dns_steps(target, config, sockets))
 
-        monkeypatch.setattr(probe, "dns_step", dns_step)
+        monkeypatch.setattr(probe, "dns_steps", dns_steps)
         targets = [
             parse_target("http://site001.test"),
             parse_target("http://site002.test"),
@@ -626,6 +666,54 @@ class TestRunCampaign:
             assert results[0].errors == ()
             assert results[1].errors != ()
             assert any("http" in e for e in results[1].errors)
+
+    def test_blackholed_target_does_not_hold_up_the_others(self):
+        policy = make_policy(
+            Generation.PassThrough,
+            live_hosts=("site001.test", "stuck.test", "www.google.com"),
+            blackhole_hosts=("stuck.test",),
+        )
+        with start_emulator(policy, blackhole_delay=1.5) as emu:
+            config = replace(probe_config_for(emu), workers=2, http_timeout_ms=500)
+            fast = [parse_target(f"http://site001.test/{i}") for i in range(20)]
+            stuck = [parse_target(f"http://stuck.test/{i}") for i in range(2)]
+            targets = [stuck[0], *fast, stuck[1], *fast]
+            started = time.monotonic()
+            results = run_campaign(targets, config)
+            elapsed = time.monotonic() - started
+        for result in results:
+            if result.target in stuck:
+                (error,) = result.errors
+                assert error.startswith("http: ") and error.endswith("timed out")
+            else:
+                assert result.errors == () and result.keyword.status == 404
+                assert result.http.status == 200 and len(result.dns) == len(config.resolvers)
+        # the stuck targets wait out their timeouts side by side while the
+        # other slot probes the rest; one after the other they take 1 s
+        assert 0.5 <= elapsed < 0.9
+
+    def test_reply_in_time_counts_while_another_target_keeps_the_loop_busy(
+        self, passthrough_emulator, monkeypatch
+    ):
+        real_start_keyword = probe._start_keyword
+
+        def start_keyword(target, config):
+            # site001 has sent its keyword GET and its queries: this holds
+            # the loop until their deadlines have passed, their replies in
+            if target.host == "site002.test":
+                time.sleep(0.6)
+            return real_start_keyword(target, config)
+
+        monkeypatch.setattr(probe, "_start_keyword", start_keyword)
+        config = replace(
+            probe_config_for(passthrough_emulator), workers=2, retries=0,
+            dns_timeout_ms=200, tcp_timeout_ms=200, http_timeout_ms=200,
+        )
+        targets = [parse_target("http://site001.test"), parse_target("http://site002.test")]
+        for result in run_campaign(targets, config):
+            assert result.errors == ()
+            assert all(o.outcome is DnsOutcome.Answers for o in result.dns)
+            assert result.keyword.status == 404 and result.http.status == 200
 
 
 # --- random deployments: every verdict equals what the policy implies --------
