@@ -36,21 +36,23 @@ class CleaningReport:
 def load_target_list(source: IO[bytes] | IO[str]) -> tuple[list[TargetUrl], list[str]]:
     """Read one URL per line; '#' comments and blank lines are skipped.
 
-    Returns (targets, rejected_lines). Malformed lines are collected, not
-    fatal; raises EmptyList when no valid entry remains.
+    Returns (targets, rejected_lines). Malformed lines, those that are not
+    UTF-8 included, are collected with each bad byte as a backslash escape,
+    not fatal; raises EmptyList when no valid entry remains.
     """
     targets: list[TargetUrl] = []
     rejected: list[str] = []
     for line in source:
         if isinstance(line, bytes):
-            line = line.decode("utf-8")
+            # an undecodable byte becomes a lone surrogate, which parse_target rejects
+            line = line.decode("utf-8", "surrogateescape")
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             targets.append(parse_target(line))
         except MalformedUrl:
-            rejected.append(line)
+            rejected.append(line.encode("utf-8", "backslashreplace").decode("utf-8"))
     if not targets:
         raise EmptyList("no valid entries in target list")
     return targets, rejected
@@ -104,21 +106,22 @@ def dedupe(
 # OSError (or a subclass) on DNS or connection failure.
 CleanFetch = Callable[[TargetUrl], int]
 
+LIVENESS_PAUSES = (1.0, 2.0)  # seconds between the three attempts at one target
+
 
 def liveness_filter(
     targets: list[TargetUrl],
     clean_path: CleanFetch,
     control: TargetUrl | None = None,
-    attempts: int = 3,
-    backoff: tuple[float, ...] = (1.0, 2.0, 4.0),
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[list[TargetUrl], list[tuple[TargetUrl, RemovalReason]]]:
     """Drop entries unreachable over the uncensored channel.
 
-    A target is offline when every attempt fails at the DNS or connection
-    level; HTTP error codes (4xx/5xx) still count as alive. When a control
-    URL is given it is fetched first; its failure means the clean channel
-    itself is broken and CleanPathUnavailable is raised.
+    A target is offline when all three attempts, LIVENESS_PAUSES apart,
+    fail at the DNS or connection level; HTTP error codes (4xx/5xx) still
+    count as alive. When a control URL is given it is fetched first; its
+    failure means the clean channel itself is broken and
+    CleanPathUnavailable is raised.
     """
     if control is not None:
         try:
@@ -127,14 +130,14 @@ def liveness_filter(
             raise CleanPathUnavailable(f"control fetch failed: {exc}") from exc
 
     def alive(t: TargetUrl) -> bool:
-        for i in range(attempts):
+        for pause in (*LIVENESS_PAUSES, None):
             try:
                 clean_path(t)
                 return True
             except OSError:
-                if i < attempts - 1:
-                    sleep(backoff[min(i, len(backoff) - 1)])
-        return False
+                if pause is None:
+                    return False
+                sleep(pause)
 
     out: list[TargetUrl] = []
     removed: list[tuple[TargetUrl, RemovalReason]] = []

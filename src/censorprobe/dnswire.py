@@ -301,23 +301,16 @@ def exchange(
 
 
 def query(
-    server: tuple[str, int],
-    qname: str,
-    timeout: float,
-    retries: int = 0,
-    sock: socket.socket | None = None,
+    server: tuple[str, int], qname: str, timeout: float, retries: int = 0
 ) -> tuple[DnsMessage, float]:
     """Send an A query over UDP; returns (message, rtt seconds).
 
-    exchange() with one server: `sock` is a socket from connect(server) that
-    the caller keeps for many queries; without one, the query opens its own
-    and closes it. Raises only DnsError: DnsTimeout after the final retry,
-    DnsDecodeError on a garbled response, a DnsError for a name that cannot
-    be encoded, and one naming the server for any socket error, such as a
-    closed port.
+    exchange() with one server, on a socket opened for the query. Raises
+    only DnsError: DnsTimeout after the final retry, DnsDecodeError on a
+    garbled response, a DnsError for a name that cannot be encoded, and one
+    naming the server for any socket error, such as a closed port.
     """
-    socks = None if sock is None else {server: sock}
-    (result,) = exchange([server], qname, timeout, retries, socks)
+    (result,) = exchange([server], qname, timeout, retries)
     if isinstance(result, DnsError):
         raise result
     return result

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import IO
 
-from . import dnswire
+from . import dnswire, httpwire
 from .model import (
     InvalidDocument, ResolverSpec, given_keys, is_private_ip, read_document, resolver_spec,
 )
@@ -332,45 +332,12 @@ class DnsListener:
 # --- HTTP side ------------------------------------------------------------
 
 
-def build_response(
-    status: int,
-    reason: str,
-    body: bytes,
-    extra_headers: list[tuple[str, str]] | None = None,
-) -> bytes:
-    lines = [f"HTTP/1.1 {status} {reason}"]
-    for name, value in extra_headers or []:
-        lines.append(f"{name}: {value}")
-    lines.append("Content-Type: text/html")
-    lines.append(f"Content-Length: {len(body)}")
-    lines.append("Connection: close")
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    return head + body
-
-
 _BACKLOG = 128  # many concurrent probe workers must not overflow the accept queue
 _MAX_HEAD = 65536  # a longer request head is cut here and answered as it stands
 # accept() errors after which a listener pauses for _ACCEPT_RETRY_DELAY seconds
 _ACCEPT_RESOURCE_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
 _ACCEPT_RETRY_DELAY = 1.0
-
-
-def _parse_request(raw: bytes) -> tuple[str, str, str] | None:
-    """Returns (method, uri, host) or None when unparseable."""
-    head = raw.split(b"\r\n\r\n", 1)[0]
-    lines = head.split(b"\r\n")
-    parts = lines[0].split(b" ")
-    if len(parts) != 3 or not parts[2].startswith(b"HTTP/"):
-        return None
-    method, uri = parts[0].decode("latin-1"), parts[1].decode("latin-1")
-    host = ""
-    for line in lines[1:]:
-        name, _, value = line.partition(b":")
-        if name.strip().lower() == b"host":
-            host = value.decode("latin-1").strip().lower()
-    if not host:
-        return None
-    return method, uri, host
+BLACKHOLE_DELAY = 30.0  # seconds a blackholed connection is held before it is closed
 
 
 class _HttpConnection:
@@ -402,7 +369,7 @@ class _HttpConnection:
             return
         if data is not None:
             self.head += data
-            if not data or b"\r\n\r\n" in self.head or len(self.head) >= _MAX_HEAD:
+            if not data or httpwire.HEAD_END in self.head or len(self.head) >= _MAX_HEAD:
                 if self.reading:
                     self.listener.loop.remove_reader(self.sock.fileno())
                     self.reading = False
@@ -418,7 +385,7 @@ class _HttpConnection:
 
     def _dispatch(self) -> None:
         raw, self.head = self.head, None
-        parsed = _parse_request(raw)
+        parsed = httpwire.parse_request(raw)
         if parsed is None:
             self.listener.reject(self, raw)
             return
@@ -432,8 +399,7 @@ class _HttpConnection:
 
     def answer(self, reply: bytes) -> None:
         """Send reply and close; the transcript records its status line."""
-        end = reply.find(b"\r\n")  # a slice, not a copy of a large body
-        self.note("out", reply[: end if end >= 0 else None].decode("latin-1", "replace"))
+        self.note("out", httpwire.start_line(reply))
         self.unsent = reply
         self.write()
 
@@ -529,7 +495,7 @@ class _HttpListener:
     def reject(self, conn: _HttpConnection, raw: bytes) -> None:
         """400 for a request head that does not parse."""
         conn.note("in", "<unparseable>")
-        conn.answer(build_response(400, "Bad Request", b"bad request"))
+        conn.answer(httpwire.encode_response(400, "Bad Request", b"bad request"))
 
 
 class CensorHttpProxy(_HttpListener):
@@ -539,16 +505,9 @@ class CensorHttpProxy(_HttpListener):
 
     name = "censor-http"
 
-    def __init__(
-        self,
-        policy: CensorPolicy,
-        origin: OriginStub,
-        recorder: TranscriptRecorder,
-        blackhole_delay: float,
-    ):
+    def __init__(self, policy: CensorPolicy, origin: OriginStub, recorder: TranscriptRecorder):
         super().__init__(policy, recorder)
         self.origin = origin
-        self.blackhole_delay = blackhole_delay
 
     def reject(self, conn: _HttpConnection, raw: bytes) -> None:
         if raw:
@@ -560,7 +519,7 @@ class CensorHttpProxy(_HttpListener):
         policy = self.policy
         if policy.blackholed(host):
             conn.note("out", "<blackhole>")
-            conn.pending = self.loop.call_later(self.blackhole_delay, conn.close)
+            conn.pending = self.loop.call_later(BLACKHOLE_DELAY, conn.close)
             return
 
         rule = policy.matched_rule(host, uri)
@@ -572,18 +531,18 @@ class CensorHttpProxy(_HttpListener):
                 f"http://{policy.redirect_host}/redirect.php"
                 f"?n={client_ip}@{policy.pop_label}&s={policy.rule_id}"
             )
-            conn.answer(build_response(302, "Found", b"", [("Location", location)]))
+            conn.answer(httpwire.encode_response(302, "Found", b"", ("Location", location)))
         else:  # Ixp200: filter and return, origin never consulted
-            headers = [("Last-Modified", policy.warning_last_modified)]
-            conn.answer(build_response(200, "OK", policy.warning_body, headers))
+            stamp = ("Last-Modified", policy.warning_last_modified)
+            conn.answer(httpwire.encode_response(200, "OK", policy.warning_body, stamp))
 
 
 def serve_warning_site(policy: CensorPolicy, uri: str) -> bytes:
     """Warning host behavior: /redirect.php serves the page, all else 404."""
     path = uri.split("?", 1)[0]
     if path == "/redirect.php":
-        return build_response(200, "OK", policy.warning_body)
-    return build_response(404, "Not Found", b"404 Not Found")
+        return httpwire.encode_response(200, "OK", policy.warning_body)
+    return httpwire.encode_response(404, "Not Found", b"404 Not Found")
 
 
 class WarningSite(_HttpListener):
@@ -619,11 +578,8 @@ class OriginStub(_HttpListener):
 
     def response_for(self, host: str, uri: str) -> bytes:
         if host in self.site_bodies:
-            return build_response(200, "OK", self.site_bodies[host])
-        return build_response(404, "Not Found", b"404 Not Found")
-
-    def requests_for(self, host: str) -> list[tuple[str, str]]:
-        return [r for r in self.requests if r[0] == host]
+            return httpwire.encode_response(200, "OK", self.site_bodies[host])
+        return httpwire.encode_response(404, "Not Found", b"404 Not Found")
 
 
 # --- Harness --------------------------------------------------------------
@@ -637,11 +593,11 @@ class Emulator:
     every open connection, which cancels its blackhole timer.
     """
 
-    def __init__(self, policy: CensorPolicy, blackhole_delay: float = 30.0):
+    def __init__(self, policy: CensorPolicy):
         self.policy = policy
         self.recorder = TranscriptRecorder()
         self.origin = OriginStub()
-        self.proxy = CensorHttpProxy(policy, self.origin, self.recorder, blackhole_delay)
+        self.proxy = CensorHttpProxy(policy, self.origin, self.recorder)
         self.warning = WarningSite(policy, self.recorder)
         self.dns_listeners = {r.name: DnsListener(policy, r) for r in policy.resolver_map}
         self._loop: asyncio.AbstractEventLoop | None = None

@@ -1,12 +1,14 @@
-"""Bare HTTP/1.1 GET over a socket with an explicit Host header.
+"""One HTTP/1.1 codec for both ends of the wire, and a bare GET client.
 
-Redirects are never followed; one request, one recorded response. The
-observation keeps a digest plus the first 4096 body bytes, enough to
-match warning-page fingerprints without storing full pages. A request is
-started (connect and send, without waiting) and later finished (wait for
-the reply), so a caller can have other work in flight meanwhile; fetch()
-is the two in a row. Every socket is non-blocking, and the waiting is left
-to a loop on select.poll (see loop), so the client needs a POSIX system.
+The probe writes a GET and parses the reply, the emulator parses the GET
+and writes the reply, both through one head splitter, field scanner and
+head assembler. Redirects are never followed; one request, one recorded
+response. The observation keeps a digest plus the first 4096 body bytes,
+enough to match warning-page fingerprints without storing full pages. A
+request is started (connect and send, without waiting) and its steps()
+later wait for the reply; fetch() is the two in a row. Every socket is
+non-blocking, and the waiting is left to a loop on select.poll (see
+loop), so the client needs a POSIX system.
 """
 
 from __future__ import annotations
@@ -29,32 +31,88 @@ class HttpTransportError(OSError):
     pass
 
 
-def _parse_response(raw: bytes) -> tuple[int, dict[str, str], bytes]:
-    head, sep, body = raw.partition(b"\r\n\r\n")
-    if not sep:
+HEAD_END = b"\r\n\r\n"  # the blank line that ends a message head
+
+
+def _split_head(raw: bytes) -> tuple[bytes, list[bytes], bytes | None]:
+    """Start line, field lines and body; the body is None if the head never ends."""
+    head, sep, body = raw.partition(HEAD_END)
+    start, _, fields = head.partition(b"\r\n")
+    return start, fields.split(b"\r\n"), body if sep else None
+
+
+def _field(lines: list[bytes], name: bytes) -> str | None:
+    """The stripped value of the last field line called `name` (lower case)."""
+    value = None
+    for line in lines:
+        key, _, rest = line.partition(b":")
+        if key.strip().lower() == name:
+            value = rest
+    return None if value is None else value.decode("latin-1").strip()
+
+
+def _head(lines: list[str]) -> bytes:
+    """The start line and field lines, then Connection: close, which every
+    message of this codec sends, and the blank line."""
+    lines.append("Connection: close\r\n\r\n")
+    return "\r\n".join(lines).encode("latin-1")
+
+
+def start_line(message: bytes) -> str:
+    """A message's first line; a slice, so that a long body is not copied."""
+    end = message.find(b"\r\n")
+    return message[: end if end >= 0 else None].decode("latin-1")
+
+
+def encode_request(host: str, uri: str) -> bytes:
+    """The probe's GET of uri with the given Host header."""
+    return _head([f"GET {uri} HTTP/1.1", f"Host: {host}", "Accept: */*"])
+
+
+def parse_request(raw: bytes) -> tuple[str, str, str] | None:
+    """(method, uri, lower-cased host) of a request head, read as it stands
+    if it never ends; None unless the request line is three words ending in
+    an HTTP version and the Host field is not empty."""
+    start, fields, _ = _split_head(raw)
+    parts = start.decode("latin-1").split(" ")
+    host = _field(fields, b"host")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/") or not host:
+        return None
+    return parts[0], parts[1], host.lower()
+
+
+def encode_response(status: int, reason: str, body: bytes, *fields: tuple[str, str]) -> bytes:
+    """A reply: the status line, `fields`, Content-Type, Content-Length and
+    Connection: close, then body."""
+    lines = [f"HTTP/1.1 {status} {reason}"]
+    for name, value in fields:
+        lines.append(f"{name}: {value}")
+    lines.append("Content-Type: text/html")
+    lines.append(f"Content-Length: {len(body)}")
+    return _head(lines) + body
+
+
+def parse_response(raw: bytes) -> tuple[int, str | None, str | None, bytes]:
+    """(status, Location, Last-Modified, body) of a whole reply; a field it
+    lacks is None. Raises HttpTransportError when the head never ends or
+    the status line does not parse."""
+    start, fields, body = _split_head(raw)
+    if body is None:
         raise HttpTransportError("no header terminator in response")
-    lines = head.split(b"\r\n")
-    status_parts = lines[0].split(b" ", 2)
+    status_parts = start.split(b" ", 2)
     if len(status_parts) < 2 or not status_parts[0].startswith(b"HTTP/"):
-        raise HttpTransportError(f"bad status line: {lines[0]!r}")
+        raise HttpTransportError(f"bad status line: {start!r}")
     try:
         status = int(status_parts[1])
     except ValueError as exc:
-        raise HttpTransportError(f"bad status code: {lines[0]!r}") from exc
+        raise HttpTransportError(f"bad status code: {start!r}") from exc
     if not 100 <= status <= 599:
-        raise HttpTransportError(f"status code out of range: {lines[0]!r}")
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(b":")
-        if name:
-            headers[name.decode("latin-1").strip().lower()] = value.decode(
-                "latin-1"
-            ).strip()
+        raise HttpTransportError(f"status code out of range: {start!r}")
     # Chunked bodies: we always send Connection: close, so read-to-EOF is
     # enough, but strip chunk framing when the server used it anyway.
-    if headers.get("transfer-encoding", "").lower() == "chunked":
+    if (_field(fields, b"transfer-encoding") or "").lower() == "chunked":
         body = _dechunk(body)
-    return status, headers, body
+    return status, _field(fields, b"location"), _field(fields, b"last-modified"), body
 
 
 def _dechunk(body: bytes) -> bytes:
@@ -95,18 +153,13 @@ def connect(sockaddr: tuple, family: int | None = None) -> socket.socket:
 
 class Request:
     """One GET on the wire: start() opens it and sends what the socket
-    takes, finish() reads the reply. Close one that is never finished."""
+    takes, steps() reads the reply. Close one whose steps never run."""
 
     def __init__(self, address: str, host: str, uri: str, port: int, timeout: float):
         self.address, self.host, self.uri, self.port = address, host, uri, port
         self.timeout = timeout
         self.deadline = time.monotonic() + timeout
-        self.unsent = (
-            f"GET {uri} HTTP/1.1\r\n"
-            f"Host: {host}\r\n"
-            f"Accept: */*\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("latin-1")
+        self.unsent = encode_request(host, uri)
         self.sock: socket.socket | None = None
         self.error: OSError | None = None
         self.endpoints: list[tuple[int | None, tuple]] = []  # those not tried yet
@@ -159,17 +212,14 @@ class Request:
             self.received += len(chunk)
         return 0
 
-    def finish(self) -> HttpObservation:
-        """Wait for the reply until EOF, MAX_BODY bytes or the deadline, then
-        close the socket. The deadline is `timeout` after start() if the GET
-        went out then; if some of it has not (its connect was still under
-        way), it is `timeout` from now, since nothing sent it meanwhile.
-        Raises HttpTransportError (an OSError) on connect failure, timeout,
-        reset, or an unparseable response."""
-        return drive(self.steps())
-
     def steps(self) -> Generator[tuple, list, HttpObservation]:
-        """finish() as a step generator (see loop)."""
+        """Wait for the reply until EOF, MAX_BODY bytes or the deadline, then
+        close the socket; a step generator (see loop). The deadline is
+        `timeout` after start() if the GET went out then, as when the connect
+        completes inside it (loopback); if some of it has not, it is `timeout`
+        from the first step, since nothing sent it meanwhile. Raises
+        HttpTransportError (an OSError) on connect failure, timeout, reset,
+        or an unparseable response."""
         try:
             if self.error is not None:
                 raise self.error
@@ -183,13 +233,13 @@ class Request:
             raise HttpTransportError(f"{where}: {exc}") from exc
         finally:
             self.close()
-        status, headers, body = _parse_response(b"".join(self.chunks))
+        status, location, last_modified, body = parse_response(b"".join(self.chunks))
         return HttpObservation(
             request_host=self.host,
             request_uri=self.uri,
             status=status,
-            location=headers.get("location") if status in (301, 302) else None,
-            last_modified=headers.get("last-modified"),
+            location=location if status in (301, 302) else None,
+            last_modified=last_modified,
             body_digest=hashlib.sha256(body).hexdigest(),
             body_excerpt=body[:EXCERPT_LIMIT],
         )
@@ -217,11 +267,9 @@ def start(
     """Open a GET of uri from address with the given Host header, and send
     as much of it as the socket takes without waiting.
 
-    A name is looked up once and its addresses are tried in turn. `timeout`
-    bounds the whole exchange, however many addresses are tried. It runs
-    from this call when the GET goes out at once, as when the connect
-    completes inside it (loopback); else from Request.finish(), which sends
-    the GET. Raises no OSError: Request.finish() reports it.
+    A name is looked up once and its addresses are tried in turn, all
+    within the one `timeout` (see Request.steps()). Raises no OSError:
+    Request.steps() reports it.
     """
     request = Request(address, host, uri, port, timeout)
     try:
@@ -241,10 +289,9 @@ def fetch(
     port: int = 80,
     timeout: float = 10.0,
 ) -> HttpObservation:
-    """GET uri from address with the given Host header: start(), then
-    finish(). `timeout` bounds the whole exchange after a name's lookup:
-    the connect to each of its addresses, the send and the read. Raises
-    HttpTransportError (an OSError) on connect failure, timeout, reset, or
-    an unparseable response.
+    """GET uri from address with the given Host header: start(), then its
+    steps() under loop.drive. `timeout` bounds the whole exchange after a
+    name's lookup: the connect to each of its addresses, the send and the
+    read. Raises HttpTransportError as Request.steps() does.
     """
-    return start(address, host, uri, port, timeout).finish()
+    return drive(start(address, host, uri, port, timeout).steps())

@@ -148,12 +148,16 @@ def parse_target(raw: str) -> TargetUrl:
     the path and query are percent-encoded as UTF-8, as browsers send
     them. Raises MalformedUrl when no usable host can be
     extracted, when the IDNA codec rejects it (an empty label, or one
-    longer than 63 bytes), or for userinfo or any other port: every probe
-    step uses the configured HTTP port.
+    longer than 63 bytes), for text with a lone surrogate, or for userinfo
+    or any other port: every probe step uses the configured HTTP port.
     """
     text = raw.strip()
     if not text:
         raise MalformedUrl("empty input")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, as for an undecodable byte
+        raise MalformedUrl(f"not UTF-8 text: {raw!r}") from None
     if "://" not in text:
         text = "http://" + text
     try:

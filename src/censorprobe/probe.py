@@ -108,9 +108,8 @@ def dns_steps(
 
 
 class _Handshakes:
-    """A TCP handshake to each address, all opened at once; finish() or
-    steps() waits for them until one deadline. The socket's family follows
-    the address, so IPv4 and IPv6 both connect."""
+    """A TCP handshake to each address, all opened at once (see tcp_step);
+    steps() waits for them until one deadline."""
 
     def __init__(self, addresses: list[str], port: int, timeout: float):
         self.addresses, self.port = addresses, port
@@ -137,13 +136,9 @@ class _Handshakes:
             err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
             return OSError(err, os.strerror(err)) if err else None
 
-    def finish(self) -> list[TcpObservation]:
-        """One observation per address, its result picked by exception
-        class; every socket is closed."""
-        return loop.drive(self.steps())
-
     def steps(self) -> Generator[tuple, list, list[TcpObservation]]:
-        """finish() as a step generator (see loop)."""
+        """One observation per address, its result picked by exception
+        class; every socket is closed. A step generator (see loop)."""
         observations = []
         try:
             for address, sock in zip(self.addresses, self.opened):
@@ -168,7 +163,7 @@ def tcp_step(
     """3-way handshake per address, all at once within one `timeout`; each
     socket is closed as soon as its handshake ends. The socket's family
     follows the address, so IPv4 and IPv6 both connect."""
-    return _Handshakes(addresses, port, timeout).finish()
+    return loop.drive(_Handshakes(addresses, port, timeout).steps())
 
 
 def _start_keyword(target: TargetUrl, config: ProbeConfig) -> httpwire.Request:
@@ -205,12 +200,12 @@ def keyword_step(target: TargetUrl, config: ProbeConfig) -> HttpObservation:
     or when there is no such entry (the caller logs it and marks the step
     inconclusive).
     """
-    return _start_keyword(target, config).finish()
+    return loop.drive(_start_keyword(target, config).steps())
 
 
 def http_step(target: TargetUrl, resolved: str, config: ProbeConfig) -> HttpObservation:
     """Single GET with Host: target.host; redirects recorded, not followed."""
-    return _start_http(target, resolved, config).finish()
+    return loop.drive(_start_http(target, resolved, config).steps())
 
 
 def genuine_addresses(

@@ -66,8 +66,8 @@ def make_policy(
     )
 
 
-def start_emulator(policy: CensorPolicy, blackhole_delay: float = 2.0) -> Emulator:
-    emu = Emulator(policy, blackhole_delay=blackhole_delay)
+def start_emulator(policy: CensorPolicy) -> Emulator:
+    emu = Emulator(policy)
     for host, _ in policy.zone:
         # the keyword portal must 404 on appended-URL paths, like the real one
         if host != "www.google.com":

@@ -71,6 +71,17 @@ class TestClean:
         assert "1 malformed lines skipped" in stdout
         assert report.load(out + ".report.json").after_dedupe == 2
 
+    def test_undecodable_line_is_skipped(self, tmp_path, capsys):
+        targets = tmp_path / "targets.txt"
+        targets.write_bytes(b"http://a.test/\nhttp://b.test/caf\xff\n")
+        config = _write(tmp_path / "clean.json", json.dumps({"skip_liveness": True}))
+        out = str(tmp_path / "cleaned.txt")
+        code = main(["clean", "--targets", str(targets), "--config", config, "--out", out])
+        assert code == EXIT_OK
+        assert "1 -> 1 -> 1 -> 1 (1 malformed lines skipped)" in capsys.readouterr().out
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == "http://a.test/\n"
+
     def test_missing_file_is_campaign_error(self, tmp_path, capsys):
         assert main(["clean", "--targets", str(tmp_path / "nope")]) == EXIT_CAMPAIGN
 

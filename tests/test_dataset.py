@@ -1,6 +1,7 @@
 import io
 
 import pytest
+from hypothesis import given, strategies as st
 
 from censorprobe.dataset import (
     CleanPathUnavailable,
@@ -39,6 +40,21 @@ class TestLoadTargetList:
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyList):
             load_target_list(io.StringIO("# only comments\n"))
+
+    @given(st.binary().map(lambda line: line.replace(b"\n", b"")))
+    def test_any_bytes_line_is_a_target_or_rejected(self, line):
+        targets, rejected = load_target_list(io.BytesIO(b"http://ok.test/\n" + line + b"\n"))
+        text = line.decode("utf-8", "surrogateescape").strip()
+        skipped = not text or text.startswith("#")
+        assert len(targets) + len(rejected) == (1 if skipped else 2)
+        for entry in rejected:
+            entry.encode("utf-8")  # printable: no lone surrogate is left
+
+    def test_undecodable_line_is_rejected(self):
+        raw = b"http://a.test/\nhttp://b.test/caf\xff\n\xfe\n# caf\xe9\n"
+        targets, rejected = load_target_list(io.BytesIO(raw))
+        assert [t.host for t in targets] == ["a.test"]
+        assert rejected == ["http://b.test/caf\\udcff", "\\udcfe"]
 
 
 class TestCollapse:
@@ -104,6 +120,15 @@ class TestLiveness:
         assert {t.host for t, _ in removed} == {"dead1.com", "dead2.com"}
         assert all(r is RemovalReason.Offline for _, r in removed)
         assert attempts["dead1.com"] == 3
+
+    def test_dead_host_pauses_one_then_two_seconds(self):
+        def fetch(t):
+            raise ConnectionError("no route")
+
+        sleeps = []
+        out, removed = liveness_filter(_targets("http://dead.com"), fetch, sleep=sleeps.append)
+        assert out == [] and len(removed) == 1
+        assert sleeps == [1.0, 2.0]
 
     def test_http_errors_count_as_alive(self):
         out, removed = liveness_filter(

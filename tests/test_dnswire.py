@@ -262,8 +262,8 @@ def test_late_reply_to_an_earlier_query_on_the_socket_is_skipped(monkeypatch):
         server.bind(("127.0.0.1", 0))
         address = server.getsockname()
         with dnswire.connect(address) as sock:
-            with pytest.raises(dnswire.DnsTimeout):
-                dnswire.query(address, "one.test", timeout=0.05, sock=sock)
+            (timed_out,) = dnswire.exchange([address], "one.test", 0.05, socks={address: sock})
+            assert isinstance(timed_out, dnswire.DnsTimeout)
             data, client = server.recvfrom(512)
             late = dnswire.encode_response(
                 dnswire.decode_message(data).txid, "one.test", dnswire.RCODE_NOERROR, ["6.6.6.6"]
@@ -271,7 +271,7 @@ def test_late_reply_to_an_earlier_query_on_the_socket_is_skipped(monkeypatch):
             server.sendto(late, client)
             peer = answer_one_query(server)
             try:
-                msg, _ = dnswire.query(address, "two.test", timeout=2, sock=sock)
+                ((msg, _),) = dnswire.exchange([address], "two.test", 2, socks={address: sock})
             finally:
                 peer.join(timeout=10)
     assert (msg.txid, msg.qname, msg.answers) == (0x1234, "two.test", ["1.2.3.4"])

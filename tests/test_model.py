@@ -146,6 +146,8 @@ def test_parse_is_total_over_lines():
         "http://[::1",
         "http://youtube.com/a b",
         "http://a.test/caf€",
+        "http://a.test/caf\udcff",  # an undecodable byte, escaped
+        "http://a.test/#\ud800",
     ]
     for line in lines:
         try:

@@ -429,7 +429,7 @@ class TestRunTarget:
             live_hosts=("stuck.test", "www.google.com"),
             blackhole_hosts=("stuck.test", "www.google.com"),
         )
-        with start_emulator(policy, blackhole_delay=5) as emu:
+        with start_emulator(policy) as emu:
             config = probe_config_for(emu)
             config.http_timeout_ms = 1000
             started = time.monotonic()
@@ -656,7 +656,7 @@ class TestRunCampaign:
             blackhole_hosts=("stuck.test",),
         )
         # the blackholed connection stays open past the probe's HTTP timeout
-        with start_emulator(policy, blackhole_delay=1.0) as emu:
+        with start_emulator(policy) as emu:
             config = probe_config_for(emu)
             config.http_timeout_ms = 300
             results = run_campaign(
@@ -673,7 +673,7 @@ class TestRunCampaign:
             live_hosts=("site001.test", "stuck.test", "www.google.com"),
             blackhole_hosts=("stuck.test",),
         )
-        with start_emulator(policy, blackhole_delay=1.5) as emu:
+        with start_emulator(policy) as emu:
             config = replace(probe_config_for(emu), workers=2, http_timeout_ms=500)
             fast = [parse_target(f"http://site001.test/{i}") for i in range(20)]
             stuck = [parse_target(f"http://stuck.test/{i}") for i in range(2)]
