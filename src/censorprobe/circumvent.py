@@ -96,6 +96,11 @@ class CircumventionConfig:
 
     def __post_init__(self):
         check_port(self.http_port, "http_port")
+        for name, template in self.cache_templates.items():
+            if name not in CacheEngine.__members__:
+                raise ValueError(f"cache_templates: {name!r} is not a cache engine")
+            if not isinstance(template, str) or "{URL}" not in template:
+                raise ValueError(f"cache_templates: {name}: {template!r} holds no {{URL}}")
 
 
 @dataclass

@@ -92,9 +92,16 @@ def _stored_list(path: str, kind: type) -> list:
     return items
 
 
-def cmd_clean(args) -> int:
-    with open(args.targets, "rb") as fh:
+def _targets(path: str) -> tuple[list, str]:
+    """The targets of a target-list file, and a note on the lines it rejected
+    ("" when none), for the command's summary line."""
+    with open(path, "rb") as fh:
         targets, rejected = dataset.load_target_list(fh)
+    return targets, f" ({len(rejected)} malformed lines skipped)" if rejected else ""
+
+
+def cmd_clean(args) -> int:
+    targets, skipped = _targets(args.targets)
     config = _read(args.config, clean_config) if args.config else {}
     http_port = config.get("http_port", 80)
     overrides = config.get("host_overrides", {})
@@ -115,8 +122,7 @@ def cmd_clean(args) -> int:
     report.emit(clean_report, (args.out or "cleaned") + ".report.json")
     print(
         f"{clean_report.initial_count} -> {clean_report.after_collapse} -> "
-        f"{clean_report.after_dedupe} -> {clean_report.after_liveness}"
-        + (f" ({len(rejected)} malformed lines skipped)" if rejected else "")
+        f"{clean_report.after_dedupe} -> {clean_report.after_liveness}{skipped}"
     )
     return EXIT_OK
 
@@ -125,12 +131,11 @@ def cmd_probe(args) -> int:
     config = _read(args.config, probe_config)
     if args.workers is not None:
         config.workers = args.workers
-    with open(args.targets, "rb") as fh:
-        targets, _ = dataset.load_target_list(fh)
+    targets, skipped = _targets(args.targets)
     results = probe.run_campaign(targets, config)
     error_logged = sum(1 for r in results if r.errors)
     report.emit(results, args.out)
-    print(f"{len(results)} targets probed, {error_logged} error-logged -> {args.out}")
+    print(f"{len(results)} targets probed, {error_logged} error-logged -> {args.out}{skipped}")
     return EXIT_OK
 
 
@@ -178,8 +183,7 @@ def cmd_emulate(args) -> int:
 
 
 def cmd_circumvent(args) -> int:
-    with open(args.targets, "rb") as fh:
-        targets, _ = dataset.load_target_list(fh)
+    targets, skipped = _targets(args.targets)
     config = _read(args.config, circumvention_config)
     if not config.methods:
         print("error: no methods configured", file=sys.stderr)
@@ -193,7 +197,7 @@ def cmd_circumvent(args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(merged, fh, indent=2)
         fh.write("\n")
-    print(f"{len(targets)} targets x {len(config.methods)} methods -> {out}")
+    print(f"{len(targets)} targets x {len(config.methods)} methods -> {out}{skipped}")
     return EXIT_OK
 
 

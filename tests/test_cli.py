@@ -309,6 +309,16 @@ MALFORMED_INPUTS = {
     "clean-list": ("clean", "[1]", None),
     "clean-collapse-number": ("clean", json.dumps({"collapse_hosts": 5}), "collapse_hosts"),
     "circumvent-bad-method": ("circumvent", json.dumps({"methods": ["Nope"]}), "methods"),
+    "circumvent-cache-engine": (
+        "circumvent",
+        json.dumps({"methods": ["SearchCache"], "cache_templates": {"Gogle": "http://g/{URL}"}}),
+        "cache_templates",
+    ),
+    "circumvent-cache-no-url": (
+        "circumvent",
+        json.dumps({"methods": ["SearchCache"], "cache_templates": {"GoogleCache": "http://g/"}}),
+        "cache_templates",
+    ),
     "policy-zone-list": (
         "policy", json.dumps({"generation": "Ixp200", "zone": [1]}), "zone"
     ),
@@ -491,6 +501,24 @@ def test_workers_option_overrides_probe_config(tmp_path, capsys, monkeypatch):
     assert main(argv) == EXIT_OK
     assert main([*argv, "--workers", "5"]) == EXIT_OK
     assert [c.workers for c in seen] == [3, 5]
+
+
+@pytest.mark.parametrize("command", ["probe", "circumvent"])
+def test_rejected_target_lines_are_reported(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(
+        "censorprobe.probe.run_campaign",
+        lambda targets, config: [TargetProbeResult(target=t) for t in targets],
+    )
+    targets = tmp_path / "targets.txt"
+    targets.write_bytes(b"http://a.test/\nnot a url\nhttp://b.test/caf\xff\n")
+    config = {"probe": _PROBE, "circumvent": {"methods": ["CoralCdn"]}}[command]
+    config = _write(tmp_path / "config.json", json.dumps(config))
+    out = str(tmp_path / "out.json")
+    argv = [command, "--targets", str(targets), "--config", config, "--out", out]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("1 targets ")
+    assert stdout.endswith(f"-> {out} (2 malformed lines skipped)\n")
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -81,3 +81,52 @@ def test_a_task_that_raises_closes_the_others():
     with pytest.raises(RuntimeError, match="boom"):
         run([waiting(), failing()])
     assert closed == [True] and time.monotonic() - started < 5
+
+
+def test_deadlines_passed_together_resume_each_task_once_with_nothing():
+    resumed = []
+
+    def sleep(index, deadline):
+        resumed.append((index, (yield [], deadline)))
+        return index
+
+    past = time.monotonic() - 1
+    assert run([sleep(i, past - i * 1e-3) for i in range(200)]) == list(range(200))
+    assert sorted(resumed) == [(i, []) for i in range(200)]
+
+
+def test_a_reused_descriptor_wakes_its_new_owner():
+    first, first_peer = socket.socketpair()
+    first_peer.send(b"x")
+
+    def closing():
+        with first:
+            assert (yield [(first.fileno(), select.POLLIN)], time.monotonic() + 5)
+            return first.fileno()
+
+    def reopening():
+        assert (yield [], time.monotonic() + 0.05) == []  # until closing() has returned
+        pair = socket.socketpair()
+        with pair[0], pair[1]:
+            pair[0].send(b"x")
+            ready = yield [(pair[1].fileno(), select.POLLIN)], time.monotonic() + 5
+            pair[1].send(b"x")
+            again = yield [(pair[0].fileno(), select.POLLIN)], time.monotonic() + 5
+            return [s.fileno() for s in pair], ready, again
+
+    with first_peer:
+        closed, ([one, two], ready, again) = run([closing(), reopening()])
+    assert closed in (one, two)  # the new pair took the closed descriptor's number
+    assert ready == [(two, select.POLLIN)] and again == [(one, select.POLLIN)]
+
+
+def test_a_task_that_returns_without_waiting_gives_its_value():
+    def at_once(value):
+        return value
+        yield  # a generator that never yields
+
+    assert drive(at_once(7)) == 7
+    idle, peer = socket.socketpair()
+    with idle, peer:
+        soon = time.monotonic() + 0.01
+        assert run([at_once(1), _wait(idle, soon), at_once(3)]) == [1, [], 3]
