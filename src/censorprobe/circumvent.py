@@ -12,12 +12,11 @@ from .model import HttpObservation, TargetUrl, check_port, parse_target
 
 CORAL_SUFFIX = ".nyud.net"
 
+CACHE_ENGINE = "GoogleCache"  # the one search cache that SearchCache fetches from
 DEFAULT_CACHE_TEMPLATES = {
-    # Provider URL schemes drift; these are modern reconstructions and are
+    # Provider URL schemes drift; this is a modern reconstruction and is
     # overridable via config.
-    "GoogleCache": "http://webcache.googleusercontent.com/search?q=cache:{URL}",
-    "Bing": "http://cc.bingj.com/cache.aspx?q={URL}",
-    "InternetArchive": "http://web.archive.org/web/{URL}",
+    CACHE_ENGINE: "http://webcache.googleusercontent.com/search?q=cache:{URL}",
 }
 
 
@@ -33,12 +32,6 @@ class Outcome(enum.Enum):
     Inconclusive = "Inconclusive"
 
 
-class CacheEngine(enum.Enum):
-    GoogleCache = "GoogleCache"
-    Bing = "Bing"
-    InternetArchive = "InternetArchive"
-
-
 def coralize(target: TargetUrl) -> TargetUrl:
     """Append the CDN suffix to the hostname; everything else unchanged."""
     return TargetUrl(
@@ -50,25 +43,19 @@ def coralize(target: TargetUrl) -> TargetUrl:
     )
 
 
-def cache_url(
-    target: TargetUrl,
-    engine: CacheEngine,
-    templates: dict[str, str] | None = None,
-) -> TargetUrl:
-    """Instantiate the engine's cache-lookup template with the rendered URL."""
-    templates = templates or DEFAULT_CACHE_TEMPLATES
-    template = templates[engine.value]
+def cache_url(target: TargetUrl, templates: dict[str, str] | None = None) -> TargetUrl:
+    """Instantiate the cache-lookup template with the rendered URL."""
+    template = (templates or DEFAULT_CACHE_TEMPLATES)[CACHE_ENGINE]
     return parse_target(template.replace("{URL}", target.render()))
 
 
-def extract_cached_url(url: TargetUrl, engine: CacheEngine,
-                       templates: dict[str, str] | None = None) -> str:
+def extract_cached_url(url: TargetUrl, templates: dict[str, str] | None = None) -> str:
     """Recover the embedded original URL from a cache-lookup URL."""
-    templates = templates or DEFAULT_CACHE_TEMPLATES
-    prefix, _, suffix = templates[engine.value].partition("{URL}")
+    template = (templates or DEFAULT_CACHE_TEMPLATES)[CACHE_ENGINE]
+    prefix, _, suffix = template.partition("{URL}")
     rendered = url.render()
     if not rendered.startswith(prefix) or not rendered.endswith(suffix):
-        raise ValueError(f"{rendered!r} does not match the {engine.value} template")
+        raise ValueError(f"{rendered!r} does not match the {CACHE_ENGINE} template")
     return rendered[len(prefix) : len(rendered) - len(suffix)]
 
 
@@ -97,7 +84,7 @@ class CircumventionConfig:
     def __post_init__(self):
         check_port(self.http_port, "http_port")
         for name, template in self.cache_templates.items():
-            if name not in CacheEngine.__members__:
+            if name not in DEFAULT_CACHE_TEMPLATES:
                 raise ValueError(f"cache_templates: {name!r} is not a cache engine")
             if not isinstance(template, str) or "{URL}" not in template:
                 raise ValueError(f"cache_templates: {name}: {template!r} holds no {{URL}}")
@@ -120,7 +107,7 @@ def _method_request(
     if method is Method.CoralCdn:
         t = coralize(target)
         return t.host, t.request_uri()
-    t = cache_url(target, CacheEngine.GoogleCache, config.cache_templates)
+    t = cache_url(target, config.cache_templates)
     return t.host, t.request_uri()
 
 

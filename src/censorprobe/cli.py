@@ -115,6 +115,10 @@ def cmd_clean(args) -> int:
     cleaned, clean_report = dataset.clean_pipeline(
         targets, config.get("collapse_hosts", set()), liveness
     )
+    if not cleaned:  # the liveness pass failed every entry it was given
+        print("error: no target answered the liveness check; the clean channel looks "
+              "down, so no list or report is written", file=sys.stderr)
+        return EXIT_CAMPAIGN
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for t in cleaned:

@@ -14,10 +14,6 @@ class EmptyList(ValueError):
     pass
 
 
-class CleanPathUnavailable(RuntimeError):
-    pass
-
-
 class RemovalReason(enum.Enum):
     CollapsedIntoDomain = "CollapsedIntoDomain"
     Duplicate = "Duplicate"
@@ -112,22 +108,14 @@ LIVENESS_PAUSES = (1.0, 2.0)  # seconds between the three attempts at one target
 def liveness_filter(
     targets: list[TargetUrl],
     clean_path: CleanFetch,
-    control: TargetUrl | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[list[TargetUrl], list[tuple[TargetUrl, RemovalReason]]]:
     """Drop entries unreachable over the uncensored channel.
 
     A target is offline when all three attempts, LIVENESS_PAUSES apart,
     fail at the DNS or connection level; HTTP error codes (4xx/5xx) still
-    count as alive. When a control URL is given it is fetched first; its
-    failure means the clean channel itself is broken and
-    CleanPathUnavailable is raised.
+    count as alive.
     """
-    if control is not None:
-        try:
-            clean_path(control)
-        except OSError as exc:
-            raise CleanPathUnavailable(f"control fetch failed: {exc}") from exc
 
     def alive(t: TargetUrl) -> bool:
         for pause in (*LIVENESS_PAUSES, None):
@@ -153,7 +141,6 @@ def clean_pipeline(
     targets: list[TargetUrl],
     collapse_hosts: set[str],
     clean_path: CleanFetch | None,
-    control: TargetUrl | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[list[TargetUrl], CleaningReport]:
     """Run collapse, then dedupe, then liveness; order is fixed.
@@ -167,9 +154,7 @@ def clean_pipeline(
     if clean_path is None:
         live, removed_l = deduped, []
     else:
-        live, removed_l = liveness_filter(
-            deduped, clean_path, control=control, sleep=sleep
-        )
+        live, removed_l = liveness_filter(deduped, clean_path, sleep=sleep)
     report = CleaningReport(
         initial_count=initial,
         after_collapse=len(collapsed),

@@ -3,23 +3,27 @@
 Runs as an unprivileged local proxy pair (one UDP listener per emulated
 resolver identity plus an HTTP middlebox) in front of an origin stub, so
 probe and classifier tests have deterministic ground truth. Every listener
-is served by one asyncio event loop on one thread, which reads and answers
-each non-blocking socket itself (loop.add_reader / add_writer callbacks): no
-asyncio transport or protocol object stands between a datagram or a
-connection and its handler.
+is served by loop.run on one thread: each listener is a step generator, and
+so is each accepted connection, from its request head to its close. A fault
+in one handler is logged on this module's logger and costs only its
+datagram or connection.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
 import errno
+import logging
+import select
 import socket
 import threading
+import time
+from collections.abc import Generator
 from dataclasses import dataclass, field, replace
+from math import inf
 from typing import IO
 
-from . import dnswire, httpwire
+from . import dnswire, httpwire, loop
 from .model import (
     InvalidDocument, ResolverSpec, given_keys, is_private_ip, read_document, resolver_spec,
 )
@@ -31,6 +35,8 @@ DEFAULT_WARNING_BODY = (
 DEFAULT_LAST_MODIFIED = "Fri, 19 Apr 2013 10:47:01 GMT"
 DEFAULT_POP_LABEL = "Isb-Dhok-P2"
 DEFAULT_RULE_ID = "124"
+
+_log = logging.getLogger(__name__)
 
 
 class Generation(enum.Enum):
@@ -239,8 +245,7 @@ class TranscriptRecorder:
     """Sessions in accept order; each distinct (direction, line) is stored
     once, and so is each distinct finished session: close_session puts the
     first finished session of equal content in its place. Only the
-    emulator's event loop thread writes, or stop() once that thread has
-    ended, so no lock is needed."""
+    emulator's loop thread writes, so no lock is needed."""
 
     def __init__(self):
         self.sessions: list[SessionTranscript] = []
@@ -269,9 +274,9 @@ _DATAGRAMS_PER_WAKEUP = 32
 class DnsListener:
     """One emulated resolver identity on a UDP port bound at construction.
 
-    Once opened on a loop, each wake-up answers the queries waiting on the
-    socket, at most _DATAGRAMS_PER_WAKEUP of them, so that a flood on one
-    port cannot starve the other listeners."""
+    Each wake of its steps() answers the queries waiting on the socket, at
+    most _DATAGRAMS_PER_WAKEUP of them, so that a flood on one port cannot
+    starve the other listeners."""
 
     def __init__(self, policy: CensorPolicy, resolver: ResolverSpec):
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -285,17 +290,16 @@ class DnsListener:
         self.policy = policy
         self.resolver = resolver
         self.request_count = 0  # datagrams answered
-        self.loop: asyncio.AbstractEventLoop | None = None
-
-    def open(self, loop: asyncio.AbstractEventLoop) -> None:
-        loop.add_reader(self.sock.fileno(), self.read)
-        self.loop = loop
 
     def close(self) -> None:
-        if self.loop is not None:
-            self.loop.remove_reader(self.sock.fileno())
-            self.loop = None
         self.sock.close()
+
+    def steps(self) -> Generator:
+        """The listener's task: read() at each wake, for as long as it runs."""
+        watch = [(self.sock.fileno(), select.POLLIN)]
+        while True:
+            yield watch, inf
+            self.read()
 
     def read(self) -> None:
         sock = self.sock
@@ -306,7 +310,11 @@ class DnsListener:
                 return
             except OSError:  # an error queued on the socket costs no answer
                 continue
-            reply = self.answer(data)
+            try:
+                reply = self.answer(data)
+            except Exception:  # a fault costs this datagram only
+                _log.exception("resolver %s: no answer to %s", self.resolver.name, addr)
+                continue
             if reply is None:
                 continue
             self.request_count += 1
@@ -338,107 +346,14 @@ _MAX_HEAD = 65536  # a longer request head is cut here and answered as it stands
 _ACCEPT_RESOURCE_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM})
 _ACCEPT_RETRY_DELAY = 1.0
 BLACKHOLE_DELAY = 30.0  # seconds a blackholed connection is held before it is closed
-
-
-class _HttpConnection:
-    """One accepted connection: collects the request head, hands it to the
-    listener, sends the answer and closes; or stays open until a blackhole
-    timer or stop() closes it. The listener's loop runs its callbacks."""
-
-    def __init__(self, listener: _HttpListener, sock: socket.socket, peer: tuple[str, int]):
-        self.listener = listener
-        self.sock = sock
-        self.peer = peer
-        self.head: bytes | None = b""  # None once handed to the listener
-        self.unsent: bytes | memoryview = b""  # the rest of the answer
-        self.reading = self.writing = False  # a reader or writer callback is set
-        self.pending: asyncio.TimerHandle | None = None
-        listener.connections.add(self)
-        recorder = listener.recorder
-        self.session_index = recorder.open_session(listener.name) if recorder else None
-
-    def read(self) -> None:
-        """Take what has arrived of the head; dispatch it once it ends, at
-        EOF or at _MAX_HEAD bytes, else wait for more."""
-        try:
-            data = self.sock.recv(_MAX_HEAD)
-        except BlockingIOError:
-            data = None
-        except OSError:  # reset by the peer
-            self.close()
-            return
-        if data is not None:
-            self.head += data
-            if not data or httpwire.HEAD_END in self.head or len(self.head) >= _MAX_HEAD:
-                if self.reading:
-                    self.listener.loop.remove_reader(self.sock.fileno())
-                    self.reading = False
-                try:
-                    self._dispatch()
-                except BaseException:
-                    self.close()  # a handler that raised leaves no connection behind
-                    raise  # for the loop to log
-                return
-        if not self.reading:
-            self.listener.loop.add_reader(self.sock.fileno(), self.read)
-            self.reading = True
-
-    def _dispatch(self) -> None:
-        raw, self.head = self.head, None
-        parsed = httpwire.parse_request(raw)
-        if parsed is None:
-            self.listener.reject(self, raw)
-            return
-        method, uri, host = parsed
-        self.note("in", f"{method} {uri} HTTP/1.1")
-        self.listener.handle(self, uri, host)
-
-    def note(self, direction: str, line: str) -> None:
-        if self.session_index is not None:
-            self.listener.recorder.note(self.session_index, direction, line)
-
-    def answer(self, reply: bytes) -> None:
-        """Send reply and close; the transcript records its status line."""
-        self.note("out", httpwire.start_line(reply))
-        self.unsent = reply
-        self.write()
-
-    def write(self) -> None:
-        """Send what is left of the answer; close once all of it is sent,
-        else wait until the socket takes more."""
-        try:
-            sent = self.sock.send(self.unsent)
-        except BlockingIOError:
-            sent = 0
-        except OSError:  # reset by the peer
-            self.close()
-            return
-        if sent == len(self.unsent):
-            self.close()
-            return
-        self.unsent = memoryview(self.unsent)[sent:]
-        if not self.writing:
-            self.listener.loop.add_writer(self.sock.fileno(), self.write)
-            self.writing = True
-
-    def close(self) -> None:
-        """Close the socket and end the session; cancels a blackhole timer."""
-        loop = self.listener.loop
-        if self.reading:
-            loop.remove_reader(self.sock.fileno())
-        if self.writing:
-            loop.remove_writer(self.sock.fileno())
-        self.sock.close()
-        self.listener.connections.discard(self)
-        if self.pending is not None:
-            self.pending.cancel()
-        if self.session_index is not None:
-            self.listener.recorder.close_session(self.session_index)
+_BAD_REQUEST = httpwire.encode_response(400, "Bad Request", b"bad request")
 
 
 class _HttpListener:
-    """A TCP listener bound at construction; `handle` answers each request head.
-    With a recorder, each accepted connection opens a session named `name`."""
+    """A TCP listener bound at construction. Its steps() accept, and each
+    accepted connection gets a task that reads the request head and sends
+    what `handle(uri, host, peer)` answers; None holds it unanswered. With
+    a recorder, each accepted connection opens a session named `name`."""
 
     name: str  # names the listener in transcripts and Emulator.request_counts()
 
@@ -448,60 +363,108 @@ class _HttpListener:
         self.endpoint: tuple[str, int] = self.sock.getsockname()
         self.policy = policy
         self.recorder = recorder
-        self.connections: set[_HttpConnection] = set()
+        self.connections: dict[socket.socket, int | None] = {}  # open ones -> session index
         self.request_count = 0  # connections accepted
-        self.loop: asyncio.AbstractEventLoop | None = None
-        self._resume: asyncio.TimerHandle | None = None
-
-    def open(self, loop: asyncio.AbstractEventLoop) -> None:
-        loop.add_reader(self.sock.fileno(), self.accept)
-        self.loop = loop
 
     def close(self) -> None:
-        for conn in list(self.connections):
-            conn.close()
-        if self.loop is not None:
-            self.loop.remove_reader(self.sock.fileno())
-            self.loop = None
-        if self._resume is not None:
-            self._resume.cancel()
         self.sock.close()
 
-    def accept(self) -> None:
-        """Accept the waiting connections, at most _BACKLOG of them, and read
-        each one's request head at once."""
-        for _ in range(_BACKLOG):
-            try:
-                sock, peer = self.sock.accept()
-            except BlockingIOError:
-                return
-            except ConnectionAbortedError:  # reset while it waited to be accepted
-                continue
-            except OSError as exc:
-                if exc.errno not in _ACCEPT_RESOURCE_ERRNOS:
-                    raise  # the loop logs it
-                # out of descriptors or memory: the socket stays readable, so
-                # stop watching it for a while instead of spinning, as asyncio does
-                self.loop.call_exception_handler(
-                    {"message": "socket.accept() out of system resource", "exception": exc}
-                )
-                self.loop.remove_reader(self.sock.fileno())
-                self._resume = self.loop.call_later(_ACCEPT_RETRY_DELAY, self.open, self.loop)
-                return
-            sock.setblocking(False)
-            self.request_count += 1
-            _HttpConnection(self, sock, peer).read()
+    def steps(self, started: list[Generator]) -> Generator:
+        """The listener's task: at each wake, accept the waiting connections,
+        at most _BACKLOG of them, and start a task on `started` for each."""
+        watch = [(self.sock.fileno(), select.POLLIN)]
+        while True:
+            yield watch, inf
+            for _ in range(_BACKLOG):
+                try:
+                    sock, peer = self.sock.accept()
+                except BlockingIOError:
+                    break
+                except ConnectionAbortedError:  # reset while it waited to be accepted
+                    continue
+                except OSError as exc:
+                    resource = exc.errno in _ACCEPT_RESOURCE_ERRNOS
+                    reason = "out of system resource" if resource else "failed"
+                    _log.error("socket.accept() %s", reason, exc_info=exc)
+                    if resource:
+                        # out of descriptors or memory: the socket stays readable,
+                        # so stop watching it for a while instead of spinning
+                        yield [], time.monotonic() + _ACCEPT_RETRY_DELAY
+                    break
+                sock.setblocking(False)
+                self.request_count += 1
+                recorder = self.recorder
+                self.connections[sock] = recorder.open_session(self.name) if recorder else None
+                started.append(self._connection(sock, peer))
 
-    def reject(self, conn: _HttpConnection, raw: bytes) -> None:
-        """400 for a request head that does not parse."""
-        conn.note("in", "<unparseable>")
-        conn.answer(httpwire.encode_response(400, "Bad Request", b"bad request"))
+    def _connection(self, sock: socket.socket, peer: tuple[str, int]) -> Generator:
+        """One connection's task: read the request head until it ends, at EOF
+        or at _MAX_HEAD bytes; send the answer and close, or hold a blackholed
+        connection for BLACKHOLE_DELAY. A handler that raises costs only this
+        connection; a reset by the peer closes it."""
+        session = self.connections[sock]
+        fd = sock.fileno()
+        try:
+            head = b""
+            while httpwire.HEAD_END not in head and len(head) < _MAX_HEAD:
+                try:
+                    data = sock.recv(_MAX_HEAD)
+                except BlockingIOError:
+                    yield [(fd, select.POLLIN)], inf
+                    continue
+                if not data:
+                    break
+                head += data
+            try:
+                parsed = httpwire.parse_request(head)
+                if parsed is None:
+                    reply = self.reject(head)
+                    if reply is None:
+                        return
+                    self._note(session, "in", "<unparseable>")
+                else:
+                    method, uri, host = parsed
+                    self._note(session, "in", f"{method} {uri} HTTP/1.1")
+                    reply = self.handle(uri, host, peer)
+            except Exception:
+                _log.exception("%s: no answer to %s", self.name, peer)
+                return
+            if reply is None:
+                self._note(session, "out", "<blackhole>")
+                yield [], time.monotonic() + BLACKHOLE_DELAY
+                return
+            self._note(session, "out", httpwire.start_line(reply))
+            while True:
+                try:
+                    sent = sock.send(reply)
+                except BlockingIOError:
+                    sent = 0
+                if sent == len(reply):
+                    return
+                reply = memoryview(reply)[sent:]
+                yield [(fd, select.POLLOUT)], inf
+        except OSError:  # reset by the peer
+            pass
+        finally:
+            sock.close()
+            del self.connections[sock]
+            if session is not None:
+                self.recorder.close_session(session)
+
+    def _note(self, session: int | None, direction: str, line: str) -> None:
+        if session is not None:
+            self.recorder.note(session, direction, line)
+
+    def reject(self, raw: bytes) -> bytes | None:
+        """The answer to a request head that does not parse; None closes the
+        connection unanswered."""
+        return _BAD_REQUEST
 
 
 class CensorHttpProxy(_HttpListener):
     """The censoring middlebox: answers a request that matches the policy
     itself; any other request gets the origin stub's reply, computed in the
-    same loop callback without a second connection."""
+    same task without a second connection."""
 
     name = "censor-http"
 
@@ -509,32 +472,26 @@ class CensorHttpProxy(_HttpListener):
         super().__init__(policy, recorder)
         self.origin = origin
 
-    def reject(self, conn: _HttpConnection, raw: bytes) -> None:
-        if raw:
-            super().reject(conn, raw)
-        else:  # a bare connect, as the probe's TCP step makes, gets no answer
-            conn.close()
+    def reject(self, raw: bytes) -> bytes | None:
+        # a bare connect, as the probe's TCP step makes, gets no answer
+        return _BAD_REQUEST if raw else None
 
-    def handle(self, conn: _HttpConnection, uri: str, host: str) -> None:
+    def handle(self, uri: str, host: str, peer: tuple[str, int]) -> bytes | None:
         policy = self.policy
         if policy.blackholed(host):
-            conn.note("out", "<blackhole>")
-            conn.pending = self.loop.call_later(BLACKHOLE_DELAY, conn.close)
-            return
-
+            return None
         rule = policy.matched_rule(host, uri)
         if rule is None:
-            conn.answer(self.origin.serve(host, uri))
-        elif policy.generation is Generation.Isp302:
-            client_ip = conn.peer[0]
+            return self.origin.serve(host, uri)
+        if policy.generation is Generation.Isp302:
             location = (
                 f"http://{policy.redirect_host}/redirect.php"
-                f"?n={client_ip}@{policy.pop_label}&s={policy.rule_id}"
+                f"?n={peer[0]}@{policy.pop_label}&s={policy.rule_id}"
             )
-            conn.answer(httpwire.encode_response(302, "Found", b"", ("Location", location)))
-        else:  # Ixp200: filter and return, origin never consulted
-            stamp = ("Last-Modified", policy.warning_last_modified)
-            conn.answer(httpwire.encode_response(200, "OK", policy.warning_body, stamp))
+            return httpwire.encode_response(302, "Found", b"", ("Location", location))
+        # Ixp200: filter and return, origin never consulted
+        stamp = ("Last-Modified", policy.warning_last_modified)
+        return httpwire.encode_response(200, "OK", policy.warning_body, stamp)
 
 
 def serve_warning_site(policy: CensorPolicy, uri: str) -> bytes:
@@ -548,8 +505,8 @@ def serve_warning_site(policy: CensorPolicy, uri: str) -> bytes:
 class WarningSite(_HttpListener):
     name = "warning-site"
 
-    def handle(self, conn: _HttpConnection, uri: str, host: str) -> None:
-        conn.answer(serve_warning_site(self.policy, uri))
+    def handle(self, uri: str, host: str, peer: tuple[str, int]) -> bytes:
+        return serve_warning_site(self.policy, uri)
 
 
 class OriginStub(_HttpListener):
@@ -564,8 +521,8 @@ class OriginStub(_HttpListener):
         self._request_keys: dict[tuple[str, str], tuple[str, str]] = {}
         self.site_bodies: dict[str, bytes] = {}
 
-    def handle(self, conn: _HttpConnection, uri: str, host: str) -> None:
-        conn.answer(self.serve(host, uri))
+    def handle(self, uri: str, host: str, peer: tuple[str, int]) -> bytes:
+        return self.serve(host, uri)
 
     def serve(self, host: str, uri: str) -> bytes:
         """Record one request for (host, uri) and return the reply to it."""
@@ -585,12 +542,29 @@ class OriginStub(_HttpListener):
 # --- Harness --------------------------------------------------------------
 
 
+class _Stopped(Exception):
+    """Ends the emulator's loop.run, which then closes every task."""
+
+
+def _stop_steps(sock: socket.socket) -> Generator:
+    """The task that raises _Stopped once stop() writes to its socket."""
+    yield [(sock.fileno(), select.POLLIN)], inf
+    raise _Stopped
+
+
+def _serve(tasks: list[Generator], started: list[Generator]) -> None:
+    try:
+        loop.run(tasks, started)
+    except _Stopped:
+        pass
+
+
 class Emulator:
     """Wires origin stub, censor proxy, warning site, and DNS listeners.
 
-    The sockets are bound here; start() serves them all from one asyncio
-    event loop on one thread, and stop() ends the loop, then closes them and
-    every open connection, which cancels its blackhole timer.
+    The sockets are bound here; start() serves them all with loop.run on one
+    thread, and stop() ends that loop, which closes every open connection
+    (a blackholed one too), then closes the listeners.
     """
 
     def __init__(self, policy: CensorPolicy):
@@ -600,7 +574,7 @@ class Emulator:
         self.proxy = CensorHttpProxy(policy, self.origin, self.recorder)
         self.warning = WarningSite(policy, self.recorder)
         self.dns_listeners = {r.name: DnsListener(policy, r) for r in policy.resolver_map}
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop_pair: tuple[socket.socket, socket.socket] = ()
         self._thread: threading.Thread | None = None
 
     def resolver_endpoints(self) -> list[ResolverSpec]:
@@ -623,24 +597,25 @@ class Emulator:
         return counts
 
     def start(self):
-        if self._loop is not None:
+        if self._thread is not None:
             return
-        # the proactor loop, Windows' default, has no add_reader
-        self._loop = asyncio.SelectorEventLoop()
-        for listener in self._listeners():
-            listener.open(self._loop)
-        self._thread = threading.Thread(target=self._loop.run_forever, daemon=True)
+        self._stop_pair = socket.socketpair()
+        started: list[Generator] = []
+        tasks = [
+            _stop_steps(self._stop_pair[1]),
+            *(dns.steps() for dns in self.dns_listeners.values()),
+            *(http.steps(started) for http in (self.origin, self.proxy, self.warning)),
+        ]
+        self._thread = threading.Thread(target=_serve, args=(tasks, started), daemon=True)
         self._thread.start()
 
     def stop(self):
         if self._thread is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._stop_pair[0].send(b"\0")
             self._thread.join()
         # the loop has ended, so nothing else touches the sockets now
-        for listener in self._listeners():
-            listener.close()
-        if self._loop is not None:
-            self._loop.close()
+        for sock in [*self._listeners(), *self._stop_pair]:
+            sock.close()
 
     def __enter__(self):
         self.start()

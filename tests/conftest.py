@@ -32,15 +32,15 @@ ORIGIN_BODY = b"<html><body>origin content for %s</body></html>"
 
 @pytest.fixture(autouse=True)
 def no_emulator_handler_errors(caplog):
-    """Fail a test when an emulator callback raised on the event loop.
+    """Fail a test when an emulator handler raised on the emulator's thread.
 
-    asyncio logs such exceptions instead of raising them in a test thread.
+    The emulator logs such exceptions instead of raising them in a test thread.
     """
     yield
     errors = [
         r.getMessage()
         for r in caplog.get_records("call")
-        if r.name == "asyncio" and r.levelno >= logging.ERROR
+        if r.name == "censorprobe.emulator" and r.levelno >= logging.ERROR
     ]
     assert not errors, errors
 

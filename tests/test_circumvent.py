@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from censorprobe.circumvent import (
     CORAL_SUFFIX,
-    CacheEngine,
     CircumventionConfig,
     Method,
     Outcome,
@@ -60,28 +59,29 @@ class TestCoralize:
 
 class TestCacheUrls:
     def test_google_cache_example(self):
-        url = cache_url(parse_target("http://site.test/page"), CacheEngine.GoogleCache)
+        url = cache_url(parse_target("http://site.test/page"))
         assert url.render() == (
             "http://webcache.googleusercontent.com/search"
             "?q=cache:http://site.test/page"
         )
 
-    @given(targets, st.sampled_from(list(CacheEngine)))
+    @given(targets)
     @settings(max_examples=100)
-    def test_embedded_url_is_recoverable(self, target, engine):
-        assert extract_cached_url(cache_url(target, engine), engine) == target.render()
+    def test_embedded_url_is_recoverable(self, target):
+        assert extract_cached_url(cache_url(target)) == target.render()
 
     def test_mismatched_template_rejected(self):
-        url = cache_url(parse_target("http://site.test/"), CacheEngine.Bing)
+        mirror = {"GoogleCache": "http://mirror.test/c/{URL}"}
+        url = cache_url(parse_target("http://site.test/"), mirror)
         with pytest.raises(ValueError):
-            extract_cached_url(url, CacheEngine.GoogleCache)
+            extract_cached_url(url)
 
     def test_custom_template(self):
         templates = {"GoogleCache": "http://mirror.test/c/{URL}"}
         target = parse_target("http://site.test/a")
-        url = cache_url(target, CacheEngine.GoogleCache, templates)
+        url = cache_url(target, templates)
         assert url.host == "mirror.test"
-        assert extract_cached_url(url, CacheEngine.GoogleCache, templates) == (
+        assert extract_cached_url(url, templates) == (
             target.render()
         )
 

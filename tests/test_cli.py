@@ -1,10 +1,14 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from censorprobe import report
+from censorprobe import dataset, report
 from censorprobe.circumvent import DEFAULT_CACHE_TEMPLATES, CircumventionConfig, Method
 from censorprobe.classify import FingerprintSet, Reference
 from censorprobe.cli import (
@@ -113,6 +117,40 @@ class TestClean:
         with open(out) as fh:
             assert fh.read().splitlines() == ["http://[::1]/"]
         assert "1 -> 1 -> 1 -> 1" in capsys.readouterr().out
+
+    @staticmethod
+    def _clean(tmp_path, monkeypatch, port, overrides):
+        """Run clean on the overridden hosts, with no pause between attempts."""
+        monkeypatch.setattr(dataset, "LIVENESS_PAUSES", (0.0, 0.0))
+        targets = _write(tmp_path / "targets.txt", "".join(f"http://{h}/\n" for h in overrides))
+        doc = {"http_port": port, "host_overrides": overrides}
+        config = _write(tmp_path / "clean.json", json.dumps(doc))
+        out = tmp_path / "cleaned.txt"
+        code = main(["clean", "--targets", targets, "--config", config, "--out", str(out)])
+        return code, out, tmp_path / "cleaned.txt.report.json"
+
+    def test_dead_clean_channel_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))  # bound, never listening: each connect is refused
+            overrides = {"a.test": "127.0.0.1", "b.test": "127.0.0.1"}
+            code, out, report_path = self._clean(
+                tmp_path, monkeypatch, closed.getsockname()[1], overrides
+            )
+        assert code == EXIT_CAMPAIGN
+        assert not out.exists() and not report_path.exists()
+        assert "the clean channel looks down" in capsys.readouterr().err
+
+    def test_one_live_target_keeps_the_list(
+        self, tmp_path, capsys, monkeypatch, passthrough_emulator
+    ):
+        # nothing listens on 127.0.0.2, so dead.test is refused
+        overrides = {"site001.test": "127.0.0.1", "dead.test": "127.0.0.2"}
+        port = passthrough_emulator.proxy.endpoint[1]
+        code, out, report_path = self._clean(tmp_path, monkeypatch, port, overrides)
+        assert code == EXIT_OK
+        assert out.read_text().splitlines() == ["http://site001.test/"]
+        assert "2 -> 2 -> 2 -> 1" in capsys.readouterr().out
+        assert report.load(str(report_path)).after_liveness == 1
 
 
 class TestProbeAndClassify:
@@ -314,6 +352,11 @@ MALFORMED_INPUTS = {
         json.dumps({"methods": ["SearchCache"], "cache_templates": {"Gogle": "http://g/{URL}"}}),
         "cache_templates",
     ),
+    "circumvent-cache-removed-engine": (
+        "circumvent",
+        json.dumps({"methods": ["SearchCache"], "cache_templates": {"Bing": "http://b/{URL}"}}),
+        "cache_templates",
+    ),
     "circumvent-cache-no-url": (
         "circumvent",
         json.dumps({"methods": ["SearchCache"], "cache_templates": {"GoogleCache": "http://g/"}}),
@@ -455,14 +498,14 @@ VALID_DOCUMENTS = {
         {
             "methods": ["CoralCdn", "SearchCache"],
             "host_ip_table": {"a.test": "192.0.2.1"},
-            "cache_templates": {"Bing": "http://bing.test/{URL}"},
+            "cache_templates": {"GoogleCache": "http://cache.test/{URL}"},
             "http_port": 8080,
             "default_address": "127.0.0.1",
         },
         CircumventionConfig(
             methods=[Method.CoralCdn, Method.SearchCache],
             host_ip_table={"a.test": "192.0.2.1"},
-            cache_templates={**DEFAULT_CACHE_TEMPLATES, "Bing": "http://bing.test/{URL}"},
+            cache_templates={**DEFAULT_CACHE_TEMPLATES, "GoogleCache": "http://cache.test/{URL}"},
             http_port=8080,
             default_address="127.0.0.1",
         ),
@@ -551,3 +594,17 @@ class TestReport:
         out = str(tmp_path / "report.json")
         assert main(["report", "--verdicts", vpath, "--out", out]) == EXIT_OK
         assert report.load(out).blocked_total == 1
+
+
+def test_cli_import_loads_no_asyncio_ssl_or_thread_pool():
+    # the package has one event loop of its own; none of these may creep back
+    code = (
+        "import sys, censorprobe.cli; "
+        "print([m for m in ('asyncio', 'ssl', 'concurrent.futures') if m in sys.modules])"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "[]\n"

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from censorprobe.dataset import (
-    CleanPathUnavailable,
     EmptyList,
     RemovalReason,
     clean_pipeline,
@@ -140,18 +139,6 @@ class TestLiveness:
         targets = _targets("http://a.com", "http://b.com")
         out, removed = liveness_filter(targets, lambda t: 200, sleep=lambda s: None)
         assert out == targets and removed == []
-
-    def test_control_failure_raises(self):
-        def fetch(t):
-            raise ConnectionError("clean channel down")
-
-        with pytest.raises(CleanPathUnavailable):
-            liveness_filter(
-                _targets("http://a.com"),
-                fetch,
-                control=parse_target("http://control.test"),
-                sleep=lambda s: None,
-            )
 
 
 class TestPipeline:

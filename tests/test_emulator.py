@@ -1,4 +1,3 @@
-import asyncio
 import errno
 import json
 import os
@@ -832,6 +831,13 @@ def _big_reply_emulator() -> Emulator:
 BLOCKED_GET = b"GET / HTTP/1.1\r\nHost: blocked.test\r\n\r\n"
 
 
+def _wait_for_unsent_rest(sock: socket.socket, emu: Emulator) -> None:
+    """Wait until the answer on sock has begun to arrive; its one connection
+    then stays open, the rest unsent until the client reads."""
+    sock.recv(1, socket.MSG_PEEK)
+    assert len(emu.proxy.connections) == 1
+
+
 class TestListenerSockets:
     """The loop reads and answers each socket itself; these drive its edges."""
 
@@ -839,8 +845,8 @@ class TestListenerSockets:
         with _big_reply_emulator() as emu:
             with socket.create_connection(emu.proxy.endpoint, timeout=5) as sock:
                 sock.sendall(BLOCKED_GET)
-                # not reading yet leaves the rest of the reply to the writer callback
-                _wait_for(lambda: any(c.writing for c in list(emu.proxy.connections)))
+                # not reading yet leaves the rest of the reply waiting to be sent
+                _wait_for_unsent_rest(sock, emu)
                 reply = _read_to_eof(sock)
             stamp = ("Last-Modified", emu.policy.warning_last_modified)
             assert reply == httpwire.encode_response(200, "OK", emu.policy.warning_body, stamp)
@@ -912,7 +918,7 @@ class TestListenerSockets:
             assert obs.status == 200
         # the failed accept paused the listener instead of letting the loop spin on it
         assert calls[1] - calls[0] >= 0.25
-        logged = [r.getMessage() for r in caplog.get_records("call") if r.name == "asyncio"]
+        logged = [r.getMessage() for r in caplog.get_records("call") if r.name == "censorprobe.emulator"]
         assert len(logged) == 1 and "socket.accept() out of system resource" in logged[0]
         caplog.clear()  # the one error this test expects
 
@@ -937,26 +943,30 @@ class TestListenerSockets:
         sock = socket.create_connection(emu.proxy.endpoint, timeout=5)
         try:
             sock.sendall(b"GET / HT")
-            _wait_for(lambda: any(c.reading for c in list(emu.proxy.connections)))
+            # accepted, and no request line noted yet: still reading the head
+            _wait_for(
+                lambda: [emu.recorder.sessions[i].entries for i in emu.proxy.connections.values()]
+                == [[]]
+            )
         finally:
-            (conn,) = emu.proxy.connections
+            ((conn, session),) = emu.proxy.connections.items()
             _reset(sock)
         _wait_for(lambda: not emu.proxy.connections)
-        assert conn.sock.fileno() == -1
-        assert emu.recorder.sessions[conn.session_index].entries == []
+        assert conn.fileno() == -1
+        assert emu.recorder.sessions[session].entries == []
 
     def test_reset_while_sending_closes_the_connection(self):
         with _big_reply_emulator() as emu:
             sock = socket.create_connection(emu.proxy.endpoint, timeout=5)
             try:
                 sock.sendall(BLOCKED_GET)
-                _wait_for(lambda: any(c.writing for c in list(emu.proxy.connections)))
+                _wait_for_unsent_rest(sock, emu)
             finally:
-                (conn,) = emu.proxy.connections
+                ((conn, session),) = emu.proxy.connections.items()
                 _reset(sock)
             _wait_for(lambda: not emu.proxy.connections)
-            assert conn.sock.fileno() == -1
-            assert emu.recorder.sessions[conn.session_index].entries == [
+            assert conn.fileno() == -1
+            assert emu.recorder.sessions[session].entries == [
                 ("in", "GET / HTTP/1.1"),
                 ("out", "HTTP/1.1 200 OK"),
             ]
@@ -973,7 +983,7 @@ class TestListenerSockets:
             _wait_for(lambda: not emu.proxy.connections)
             monkeypatch.undo()
             assert httpwire.fetch("127.0.0.1", "a.test", "/", port=port).status == 200
-        raised = [r.exc_info[1] for r in caplog.get_records("call") if r.name == "asyncio"]
+        raised = [r.exc_info[1] for r in caplog.get_records("call") if r.name == "censorprobe.emulator"]
         assert [str(exc) for exc in raised] == ["handler fault"]
         caplog.clear()  # the one error this test expects
 
@@ -992,17 +1002,6 @@ class TestListenerSockets:
             _wait_for(lambda: not emu.proxy.connections)
             (session,) = emu.recorder.sessions
         assert session.entries == [("in", "GET / HTTP/1.1"), ("out", status)]
-
-    def test_start_needs_no_default_event_loop(self, monkeypatch):
-        # Windows' default loop has no add_reader, so start() builds its own
-        def default_loop():
-            raise AssertionError("the emulator asked for the default event loop")
-
-        monkeypatch.setattr(asyncio, "new_event_loop", default_loop)
-        policy = make_policy(Generation.PassThrough, live_hosts=("a.test",))
-        with start_emulator(policy) as emu:
-            msg, _ = dnswire.query(emu.dns_listeners["Google"].endpoint, "a.test", timeout=2)
-            assert msg.answers == ["127.0.0.1"]
 
     def test_request_counts_per_listener(self):
         policy = make_policy(
@@ -1037,7 +1036,9 @@ class TestListenerSockets:
             targets = [parse_target(f"http://{h}.test/") for h in ("site001", "blocked")]
             assert all(r.errors == () for r in run_campaign(targets, probe_config_for(emu)))
             parked.sendall(b"GET / HTTP/1.1\r\nHost: stuck.test\r\n\r\n")
-            _wait_for(lambda: any(c.pending for c in list(emu.proxy.connections)))
+            _wait_for(
+                lambda: any(("out", "<blackhole>") in s.entries for s in emu.recorder.sessions)
+            )
         finally:
             emu.stop()
             parked.close()

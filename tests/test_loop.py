@@ -1,6 +1,9 @@
+import math
 import select
 import socket
+import threading
 import time
+import weakref
 
 import pytest
 
@@ -130,3 +133,61 @@ def test_a_task_that_returns_without_waiting_gives_its_value():
     with idle, peer:
         soon = time.monotonic() + 0.01
         assert run([at_once(1), _wait(idle, soon), at_once(3)]) == [1, [], 3]
+
+
+def test_a_started_task_runs_and_nothing_of_it_is_kept_once_it_returns():
+    started, ran, refs = [], [], []
+
+    def child():
+        ran.append((yield [], time.monotonic()))
+        return "dropped"
+
+    def parent():
+        steps = child()
+        refs.append(weakref.ref(steps))
+        started.append(steps)
+        del steps
+        yield [], time.monotonic() + 0.05  # the child returns meanwhile
+        return refs[0]() is None
+
+    assert run([parent()], started) == [True]
+    assert ran == [[]] and started == []
+
+
+def test_a_task_with_no_deadline_sleeps_until_its_descriptor_is_ready():
+    ready, peer = socket.socketpair()
+    with ready, peer:
+        waker = threading.Timer(0.2, peer.send, args=(b"x",))
+        waker.start()
+        started, cpu = time.monotonic(), time.thread_time()
+        try:
+            sleeper, short = run([_wait(ready, math.inf), _wait(peer, time.monotonic())])
+        finally:
+            waker.join()
+        assert sleeper == [(ready.fileno(), select.POLLIN)] and short == []
+        assert time.monotonic() - started >= 0.15
+        assert time.thread_time() - cpu < 0.1  # it slept in poll, it did not spin
+
+
+def test_a_task_that_raises_closes_every_task_started_ones_too():
+    started, closed, kept = [], [], []
+
+    def waiting(name):
+        try:
+            yield [], time.monotonic() + 60
+        finally:
+            closed.append(name)
+
+    def parent():
+        kept.append(waiting("child"))  # closed by run, not by its finalizer
+        started.append(kept[0])
+        yield from waiting("parent")
+
+    def failing():
+        yield [], time.monotonic() + 0.05
+        raise RuntimeError("boom")
+
+    started_at = time.monotonic()
+    with pytest.raises(RuntimeError, match="boom"):
+        run([parent(), failing()], started)
+    assert sorted(closed) == ["child", "parent"] and time.monotonic() - started_at < 5
