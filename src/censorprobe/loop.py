@@ -23,12 +23,12 @@ def run(tasks: list[Generator], started: list[Generator] | None = None) -> list:
     """Run step generators side by side on this thread and one poll until
     each returns; the results of `tasks`, in order. A running task starts
     another by appending it to `started`, and its result is dropped; nothing
-    of a task is kept once it has returned. Each descriptor belongs to the task that yields it, and a task that
-    yields the same watch list again keeps its registrations. The work per
-    wake is the ready descriptors plus a min over the deadlines of the tasks
-    in flight; only once that min has passed are the due tasks looked for.
-    If one raises, every other, started ones included, is closed and the
-    exception propagates."""
+    of a task is kept once it has returned. Each descriptor belongs to the
+    task that yields it, and a task that yields the same watch list again
+    keeps its registrations. The work per wake is the ready descriptors plus
+    a min over the deadlines of the tasks in flight; only once that min has
+    passed are the due tasks looked for. If one raises, every other, started
+    ones included, is closed and the exception propagates."""
     poller = select.poll()
     poll, monotonic = poller.poll, time.monotonic
     live = dict(enumerate(tasks))  # unfinished task's id -> its generator
