@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 
 from . import httpwire
 from .classify import AmbiguousEvidence, FingerprintSet, classify_http
-from .model import HttpObservation, TargetUrl, check_port, parse_target
+from .model import TargetUrl, check_port, parse_target
 
 CORAL_SUFFIX = ".nyud.net"
+FETCH_TIMEOUT = 10.0  # seconds for each of the matrix's fetches
 
 CACHE_ENGINE = "GoogleCache"  # the one search cache that SearchCache fetches from
 DEFAULT_CACHE_TEMPLATES = {
@@ -59,16 +60,6 @@ def extract_cached_url(url: TargetUrl, templates: dict[str, str] | None = None) 
     return rendered[len(prefix) : len(rendered) - len(suffix)]
 
 
-def host_header_fetch(
-    address: str, host: str, uri: str, port: int = 80, timeout: float = 10.0
-) -> HttpObservation | None:
-    """Single GET to address with a crafted Host; None on transport failure."""
-    try:
-        return httpwire.fetch(address, host, uri, port=port, timeout=timeout)
-    except httpwire.HttpTransportError:
-        return None
-
-
 @dataclass
 class CircumventionConfig:
     methods: list[Method] = field(default_factory=list)
@@ -78,11 +69,15 @@ class CircumventionConfig:
     )
     fingerprints: FingerprintSet = field(default_factory=FingerprintSet)
     http_port: int = 80
-    timeout: float = 10.0
     default_address: str | None = None  # fallback when a host is not in the table
 
     def __post_init__(self):
         check_port(self.http_port, "http_port")
+        for host, address in self.host_ip_table.items():
+            if not isinstance(address, str):
+                raise ValueError(f"host_ip_table: {host}: {address!r} is not an address")
+        if not isinstance(self.default_address, (str, type(None))):
+            raise ValueError(f"default_address: {self.default_address!r} is not an address")
         for name, template in self.cache_templates.items():
             if name not in DEFAULT_CACHE_TEMPLATES:
                 raise ValueError(f"cache_templates: {name!r} is not a cache engine")
@@ -90,18 +85,10 @@ class CircumventionConfig:
                 raise ValueError(f"cache_templates: {name}: {template!r} holds no {{URL}}")
 
 
-@dataclass
-class CircumventionMatrix:
-    outcomes: dict[tuple[str, Method], Outcome] = field(default_factory=dict)
-
-    def get(self, target: TargetUrl, method: Method) -> Outcome:
-        return self.outcomes[(target.render(), method)]
-
-
 def _method_request(
     target: TargetUrl, method: Method, config: CircumventionConfig
-) -> tuple[str, str] | None:
-    """(host, uri) the method would fetch, or None when unconfigured."""
+) -> tuple[str, str]:
+    """(host, uri) the method fetches."""
     if method is Method.WebDnsPlusHostHeader:
         return target.host, target.request_uri()
     if method is Method.CoralCdn:
@@ -115,21 +102,25 @@ def evaluate_matrix(
     targets: list[TargetUrl],
     methods: list[Method],
     config: CircumventionConfig,
-) -> CircumventionMatrix:
-    """Per-target, per-method outcome; Accessible iff the fetch looks clean."""
-    matrix = CircumventionMatrix()
+) -> dict[tuple[str, Method], Outcome]:
+    """The outcome per (rendered target, method), in target then method
+    order: Accessible iff one GET with the method's crafted Host to that
+    host's address looks clean, Inconclusive when the host has no address
+    or the fetch fails."""
+    outcomes: dict[tuple[str, Method], Outcome] = {}
     for target in targets:
         for method in methods:
+            key = target.render(), method
+            outcomes[key] = Outcome.Inconclusive
             host, uri = _method_request(target, method, config)
             address = config.host_ip_table.get(host, config.default_address)
             if address is None:
-                matrix.outcomes[(target.render(), method)] = Outcome.Inconclusive
                 continue
-            obs = host_header_fetch(
-                address, host, uri, port=config.http_port, timeout=config.timeout
-            )
-            if obs is None:
-                matrix.outcomes[(target.render(), method)] = Outcome.Inconclusive
+            try:
+                obs = httpwire.fetch(
+                    address, host, uri, port=config.http_port, timeout=FETCH_TIMEOUT
+                )
+            except httpwire.HttpTransportError:
                 continue
             try:
                 mechanism = classify_http(obs, config.fingerprints)
@@ -137,7 +128,5 @@ def evaluate_matrix(
                 # Here the censor's warning fingerprints are known in full,
                 # so a 200 that matches none of them is the real content.
                 mechanism = None
-            matrix.outcomes[(target.render(), method)] = (
-                Outcome.Blocked if mechanism is not None else Outcome.Accessible
-            )
-    return matrix
+            outcomes[key] = Outcome.Blocked if mechanism is not None else Outcome.Accessible
+    return outcomes

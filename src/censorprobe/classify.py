@@ -1,12 +1,10 @@
-"""Turns observations into mechanism verdicts; probes trigger granularity."""
+"""Turns observations into mechanism verdicts."""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from . import httpwire
 from .model import (
     DnsObservation,
     DnsOutcome,
@@ -23,12 +21,6 @@ DEFAULT_INJECTED_LAST_MODIFIED = "Fri, 19 Apr 2013"
 
 class AmbiguousEvidence(Exception):
     """200 response with no fingerprint match and no reference digest."""
-
-
-class TriggerVerdict(enum.Enum):
-    HostOnly = "HostOnly"
-    HostAndUri = "HostAndUri"
-    NotTriggered = "NotTriggered"
 
 
 @dataclass(frozen=True)
@@ -166,39 +158,3 @@ def classify_target(
         evidence=tuple(evidence),
         inconclusive=inconclusive,
     )
-
-
-@dataclass
-class TriggerConfig:
-    decoy_port: int = 80
-    benign_host: str = "benign.example"
-    timeout: float = 10.0
-    fingerprints: FingerprintSet = field(default_factory=FingerprintSet)
-
-
-def _censored(
-    decoy: str, host: str, uri: str, config: TriggerConfig
-) -> bool:
-    obs = httpwire.fetch(decoy, host, uri, port=config.decoy_port, timeout=config.timeout)
-    try:
-        return classify_http(obs, config.fingerprints) is not None
-    except AmbiguousEvidence:
-        return False
-
-
-def determine_trigger(
-    host: str, uri: str, decoy: str, config: TriggerConfig
-) -> TriggerVerdict:
-    """Probe whether censorship fires on Host alone or on Host+URI.
-
-    Sends crafted requests to an uncensored decoy address: (host, "/"),
-    then (host, uri), then (benign host, uri). Raises HttpTransportError
-    when the decoy cannot be reached.
-    """
-    if _censored(decoy, host, "/", config):
-        return TriggerVerdict.HostOnly
-    host_uri = _censored(decoy, host, uri, config)
-    benign_uri = _censored(decoy, config.benign_host, uri, config)
-    if host_uri and not benign_uri:
-        return TriggerVerdict.HostAndUri
-    return TriggerVerdict.NotTriggered

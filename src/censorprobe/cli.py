@@ -195,7 +195,7 @@ def cmd_circumvent(args) -> int:
     config.fingerprints = load_fingerprints(args.fingerprints)
     matrix = circumvent.evaluate_matrix(targets, config.methods, config)
     merged: dict[str, dict[str, str]] = {}
-    for (url, method), outcome in matrix.outcomes.items():
+    for (url, method), outcome in matrix.items():
         merged.setdefault(url, {})[method.value] = outcome.value
     out = args.out or "circumvention.json"
     with open(out, "w", encoding="utf-8") as fh:

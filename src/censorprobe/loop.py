@@ -26,15 +26,16 @@ def run(tasks: list[Generator], started: list[Generator] | None = None) -> list:
     of a task is kept once it has returned. Each descriptor belongs to the
     task that yields it, and a task that yields the same watch list again
     keeps its registrations. The work per wake is the ready descriptors plus
-    a min over the deadlines of the tasks in flight; only once that min has
-    passed are the due tasks looked for. If one raises, every other, started
-    ones included, is closed and the exception propagates."""
+    a min over the finite deadlines of the tasks in flight, so a task that
+    waits on its descriptors alone costs a wake nothing; only once that min
+    has passed are the due tasks looked for. If one raises, every other,
+    started ones included, is closed and the exception propagates."""
     poller = select.poll()
     poll, monotonic = poller.poll, time.monotonic
     live = dict(enumerate(tasks))  # unfinished task's id -> its generator
     owner: dict[int, int] = {}  # registered fd -> id of its task
     watches: dict[int, list] = dict.fromkeys(live, [])  # live task's id -> its registered fds
-    deadlines: dict[int, float] = {}  # live task's id -> its deadline
+    deadlines: dict[int, float] = {}  # live task's id -> its deadline, if finite
     results = [None] * len(tasks)
     count = len(tasks)  # ids given so far; the caller's tasks have the first ones
     woken: dict[int, list | None] = dict.fromkeys(live)
@@ -43,13 +44,16 @@ def run(tasks: list[Generator], started: list[Generator] | None = None) -> list:
             while woken:
                 for index, ready in woken.items():
                     try:
-                        watch, deadlines[index] = live[index].send(ready)
+                        watch, deadline = live[index].send(ready)
                     except StopIteration as done:
                         if index < len(results):
                             results[index] = done.value
                         del live[index]
-                        deadlines.pop(index, None)  # none yet if it never yielded
-                        watch = None
+                        watch, deadline = None, inf
+                    if deadline == inf:
+                        deadlines.pop(index, None)
+                    else:
+                        deadlines[index] = deadline
                     if watch != watches[index]:
                         for fd, _ in watches[index]:
                             poller.unregister(fd)
@@ -70,7 +74,7 @@ def run(tasks: list[Generator], started: list[Generator] | None = None) -> list:
                     started.clear()
             if not live:
                 return results
-            first = min(deadlines.values())
+            first = min(deadlines.values(), default=inf)
             now = monotonic()
             wait = first - now
             woken = {}

@@ -200,9 +200,9 @@ def is_private_ip(addr: str) -> bool:
 
 
 def check_port(port: int, name: str = "port") -> None:
-    """ValueError, naming `name`, unless `port` is in 1-65535."""
-    if not 1 <= port <= 65535:
-        raise ValueError(f"{name}: out of range: {port}")
+    """ValueError, naming `name`, unless `port` is an int in 1-65535."""
+    if type(port) is not int or not 1 <= port <= 65535:
+        raise ValueError(f"{name}: not a port number in 1-65535: {port!r}")
 
 
 @dataclass(frozen=True)

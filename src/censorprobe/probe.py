@@ -6,6 +6,7 @@ raising; results with a non-empty error log are excluded from reporting.
 
 from __future__ import annotations
 
+import math
 import os
 import select
 import socket
@@ -46,8 +47,10 @@ class ProbeConfig:
         if not self.resolvers:
             raise ValueError("at least one resolver is required")
         for value in (self.dns_timeout_ms, self.tcp_timeout_ms, self.http_timeout_ms):
-            if value <= 0:
-                raise ValueError("timeouts must be strictly positive")
+            if not 0 < value < math.inf:  # NaN fails too; each step needs a deadline
+                raise ValueError("timeouts must be finite and strictly positive")
+        if type(self.workers) is not int or type(self.retries) is not int:
+            raise ValueError("workers and retries must be integers")
         if self.workers < 1 or self.retries < 0:
             raise ValueError("workers must be at least 1 and retries at least 0")
         check_port(self.http_port, "http_port")

@@ -10,12 +10,7 @@ from pathlib import Path
 
 from censorprobe import dnswire, httpwire, report
 from censorprobe.circumvent import cache_url, coralize, extract_cached_url
-from censorprobe.classify import (
-    TriggerConfig,
-    TriggerVerdict,
-    classify_target,
-    determine_trigger,
-)
+from censorprobe.classify import classify_target
 from censorprobe.dataset import RemovalReason, clean_pipeline
 from censorprobe.emulator import Generation, load_policy
 from censorprobe.model import (
@@ -288,44 +283,6 @@ def test_injection_generation_session_shape():
         and obs.last_modified is not None
         and obs.last_modified.startswith("Fri, 19 Apr 2013"),
         f"status={obs.status} last_modified={obs.last_modified!r}",
-    )
-
-
-# --- 5: trigger granularity over randomized policies -------------------------
-
-
-def test_trigger_granularity_randomized_policies():
-    rng = random.Random(124)
-    base = make_policy(Generation.Isp302)
-    failures = 0
-    with start_emulator(base) as emu:
-        config = TriggerConfig(
-            decoy_port=emu.proxy.endpoint[1],
-            timeout=3.0,
-            fingerprints=fingerprints_for(base),
-        )
-        for _ in range(50):
-            host_a = f"a{rng.randrange(10**6):06}.test"
-            host_b = f"b{rng.randrange(10**6):06}.test"
-            token = f"t{rng.randrange(10**6):06}"
-            emu.proxy.policy = make_policy(
-                Generation.Isp302,
-                http_host_rules=(host_a,),
-                http_host_uri_rules=((host_b, token),),
-            )
-            if determine_trigger(host_a, "/any", "127.0.0.1", config) is not (
-                TriggerVerdict.HostOnly
-            ):
-                failures += 1
-            if determine_trigger(
-                host_b, f"/page/{token}", "127.0.0.1", config
-            ) is not TriggerVerdict.HostAndUri:
-                failures += 1
-        emu.proxy.policy = base
-    _check(
-        "trigger granularity",
-        failures == 0,
-        f"{failures} wrong verdicts over 50 policies",
     )
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from censorprobe import circumvent, httpwire
 from censorprobe.circumvent import (
     CORAL_SUFFIX,
     CircumventionConfig,
@@ -11,7 +12,6 @@ from censorprobe.circumvent import (
     coralize,
     evaluate_matrix,
     extract_cached_url,
-    host_header_fetch,
 )
 from censorprobe.model import parse_target
 
@@ -90,23 +90,23 @@ class TestHostHeaderFetch:
     def test_one_address_two_hosts(self, passthrough_emulator):
         # virtual hosting: the Host header alone selects the site
         port = passthrough_emulator.proxy.endpoint[1]
-        a = host_header_fetch("127.0.0.1", "site001.test", "/", port=port)
-        b = host_header_fetch("127.0.0.1", "site002.test", "/", port=port)
+        a = httpwire.fetch("127.0.0.1", "site001.test", "/", port=port)
+        b = httpwire.fetch("127.0.0.1", "site002.test", "/", port=port)
         assert b"site001.test" in a.body_excerpt
         assert b"site002.test" in b.body_excerpt
         assert a.body_digest != b.body_digest
 
-    def test_transport_failure_returns_none(self):
-        assert host_header_fetch("127.0.0.1", "x.test", "/", port=1, timeout=0.3) is None
-
 
 class TestEvaluateMatrix:
+    @pytest.fixture(autouse=True)
+    def _short_fetch_timeout(self, monkeypatch):
+        monkeypatch.setattr(circumvent, "FETCH_TIMEOUT", 3.0)
+
     def _config(self, emu):
         return CircumventionConfig(
             methods=list(Method),
             fingerprints=fingerprints_for(emu.policy),
             http_port=emu.proxy.endpoint[1],
-            timeout=3.0,
             default_address="127.0.0.1",
         )
 
@@ -120,30 +120,30 @@ class TestEvaluateMatrix:
         clean = parse_target("http://site001.test")
         matrix = evaluate_matrix([blocked, clean], list(Method), config)
         # direct fetch through the censor path still trips the host rule
-        assert matrix.get(blocked, Method.WebDnsPlusHostHeader) is Outcome.Blocked
+        assert matrix[(blocked.render(), Method.WebDnsPlusHostHeader)] is Outcome.Blocked
         # the CDN-suffixed hostname no longer matches the rule
-        assert matrix.get(blocked, Method.CoralCdn) is Outcome.Accessible
+        assert matrix[(blocked.render(), Method.CoralCdn)] is Outcome.Accessible
         # the cache host is unblocked, so the copy comes through
-        assert matrix.get(blocked, Method.SearchCache) is Outcome.Accessible
-        assert matrix.get(clean, Method.WebDnsPlusHostHeader) is Outcome.Accessible
+        assert matrix[(blocked.render(), Method.SearchCache)] is Outcome.Accessible
+        assert matrix[(clean.render(), Method.WebDnsPlusHostHeader)] is Outcome.Accessible
 
     def test_host_uri_block_and_fake_200(self, ixp200_emulator):
         config = self._config(ixp200_emulator)
         target = parse_target("http://vimeo.com/video/64414932")
         matrix = evaluate_matrix([target], [Method.WebDnsPlusHostHeader], config)
-        assert matrix.get(target, Method.WebDnsPlusHostHeader) is Outcome.Blocked
+        assert matrix[(target.render(), Method.WebDnsPlusHostHeader)] is Outcome.Blocked
 
-    def test_unreachable_method_is_inconclusive(self, isp302_emulator):
+    def test_unreachable_method_is_inconclusive(self, isp302_emulator, monkeypatch):
+        monkeypatch.setattr(circumvent, "FETCH_TIMEOUT", 0.3)
         config = self._config(isp302_emulator)
         config.http_port = 1
-        config.timeout = 0.3
         target = parse_target("http://site001.test")
         matrix = evaluate_matrix([target], [Method.WebDnsPlusHostHeader], config)
-        assert matrix.get(target, Method.WebDnsPlusHostHeader) is Outcome.Inconclusive
+        assert matrix[(target.render(), Method.WebDnsPlusHostHeader)] is Outcome.Inconclusive
 
     def test_unconfigured_address_is_inconclusive(self, isp302_emulator):
         config = self._config(isp302_emulator)
         config.default_address = None
         target = parse_target("http://site001.test")
         matrix = evaluate_matrix([target], [Method.WebDnsPlusHostHeader], config)
-        assert matrix.get(target, Method.WebDnsPlusHostHeader) is Outcome.Inconclusive
+        assert matrix[(target.render(), Method.WebDnsPlusHostHeader)] is Outcome.Inconclusive

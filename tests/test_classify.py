@@ -6,12 +6,9 @@ from censorprobe.classify import (
     AmbiguousEvidence,
     FingerprintSet,
     Reference,
-    TriggerConfig,
-    TriggerVerdict,
     classify_dns,
     classify_http,
     classify_target,
-    determine_trigger,
 )
 from censorprobe.model import (
     DnsObservation,
@@ -238,36 +235,3 @@ class TestClassifyTarget:
         with pytest.raises(ValueError):
             classify_target(result, FPS)
 
-
-class TestDetermineTrigger:
-    def _config(self, emu):
-        return TriggerConfig(
-            decoy_port=emu.proxy.endpoint[1],
-            timeout=3.0,
-            fingerprints=fingerprints_for(emu.policy),
-        )
-
-    def test_host_only_trigger(self, isp302_emulator):
-        verdict = determine_trigger(
-            "youtube.com", "/watch?v=zzz", "127.0.0.1", self._config(isp302_emulator)
-        )
-        assert verdict is TriggerVerdict.HostOnly
-
-    def test_host_and_uri_trigger(self, isp302_emulator):
-        verdict = determine_trigger(
-            "vimeo.com", "/video/64414932", "127.0.0.1", self._config(isp302_emulator)
-        )
-        assert verdict is TriggerVerdict.HostAndUri
-
-    def test_not_triggered(self, isp302_emulator):
-        verdict = determine_trigger(
-            "site001.test", "/anything", "127.0.0.1", self._config(isp302_emulator)
-        )
-        assert verdict is TriggerVerdict.NotTriggered
-
-    def test_unreachable_decoy_raises(self, isp302_emulator):
-        config = self._config(isp302_emulator)
-        config.decoy_port = 1
-        config.timeout = 0.3
-        with pytest.raises(OSError):
-            determine_trigger("youtube.com", "/", "127.0.0.1", config)

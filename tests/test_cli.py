@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import socket
 import subprocess
@@ -269,6 +270,53 @@ class TestProbeAndClassify:
         }
 
 
+class TestCircumvent:
+    def test_matrix_file_holds_every_target_and_method(
+        self, tmp_path, capsys, isp302_emulator
+    ):
+        emu = isp302_emulator
+        emu.origin.add_site("webcache.googleusercontent.com", b"<html>cached copy</html>")
+        # unlisted.test and its CDN name have no address; the cache host has one
+        hosts = ["youtube.com", "site001.test", "webcache.googleusercontent.com"]
+        hosts += [f"{h}.nyud.net" for h in hosts[:2]]
+        config = _write(tmp_path / "circumvent.json", json.dumps({
+            "methods": [m.value for m in Method],
+            "host_ip_table": dict.fromkeys(hosts, "127.0.0.1"),
+            "http_port": emu.proxy.endpoint[1],
+        }))
+        fingerprints = _write(tmp_path / "fp.json", json.dumps(
+            {"patterns": ["not accessible"], "last_modified": [emu.policy.warning_last_modified]}
+        ))
+        targets = _write(
+            tmp_path / "targets.txt",
+            "http://youtube.com/\nhttp://site001.test/\nhttp://unlisted.test/\n",
+        )
+        out = tmp_path / "circumvention.json"
+        argv = ["circumvent", "--targets", targets, "--config", config,
+                "--fingerprints", fingerprints, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == f"3 targets x 3 methods -> {out}\n"
+        assert out.read_text(encoding="utf-8") == """\
+{
+  "http://youtube.com/": {
+    "WebDnsPlusHostHeader": "Blocked",
+    "CoralCdn": "Accessible",
+    "SearchCache": "Accessible"
+  },
+  "http://site001.test/": {
+    "WebDnsPlusHostHeader": "Accessible",
+    "CoralCdn": "Accessible",
+    "SearchCache": "Accessible"
+  },
+  "http://unlisted.test/": {
+    "WebDnsPlusHostHeader": "Inconclusive",
+    "CoralCdn": "Inconclusive",
+    "SearchCache": "Accessible"
+  }
+}
+"""
+
+
 @pytest.mark.parametrize(
     "total, code", [("-1", EXIT_USAGE), ("0", EXIT_USAGE), ("1", EXIT_CAMPAIGN)]
 )
@@ -321,6 +369,10 @@ def test_bad_stored_file_is_campaign_error(tmp_path, capsys, command, content):
 
 
 _PROBE = {"resolvers": [{"name": "Google", "address": "8.8.8.8"}]}
+# for a number of the wrong kind: every address is on loopback, so a check
+# that let the document through would send nothing off this host
+_LOOPBACK_PROBE = {"resolvers": [{"name": "L", "address": "127.0.0.1", "port": 9}]}
+_LOOPBACK_CIRCUMVENT = {"methods": ["WebDnsPlusHostHeader"], "default_address": "127.0.0.1"}
 # (file kind, content, key named in the error or None); every other input of
 # the command is valid
 MALFORMED_INPUTS = {
@@ -388,6 +440,35 @@ MALFORMED_INPUTS = {
         "policy",
         json.dumps({"generation": "Ixp200", "warning_body_file": 0}),
         "warning_body_file",
+    ),
+    # written as Infinity and NaN, which Python's json reads, as it reads 1e309 as inf
+    "probe-infinite-timeout": (
+        "probe", json.dumps({**_LOOPBACK_PROBE, "timeouts": {"dns": math.inf}}), None
+    ),
+    "probe-nan-timeout": (
+        "probe", json.dumps({**_LOOPBACK_PROBE, "timeouts": {"tcp": math.nan}}), None
+    ),
+    "probe-float-workers": ("probe", json.dumps({**_LOOPBACK_PROBE, "workers": 2.5}), None),
+    "probe-float-retries": ("probe", json.dumps({**_LOOPBACK_PROBE, "retries": 1.5}), None),
+    "probe-bool-workers": ("probe", json.dumps({**_LOOPBACK_PROBE, "workers": True}), None),
+    "probe-float-http-port": (
+        "probe", json.dumps({**_LOOPBACK_PROBE, "http_port": 80.5}), "http_port"
+    ),
+    "probe-float-resolver-port": (
+        "probe",
+        json.dumps({"resolvers": [{"name": "L", "address": "127.0.0.1", "port": 9.5}]}),
+        "resolvers",
+    ),
+    "circumvent-float-http-port": (
+        "circumvent", json.dumps({**_LOOPBACK_CIRCUMVENT, "http_port": 80.5}), "http_port"
+    ),
+    "circumvent-table-address-number": (
+        "circumvent",
+        json.dumps({**_LOOPBACK_CIRCUMVENT, "host_ip_table": {"a.test": 5}}),
+        "host_ip_table",
+    ),
+    "circumvent-default-address-number": (
+        "circumvent", json.dumps({**_LOOPBACK_CIRCUMVENT, "default_address": 5}), "default_address"
     ),
 }
 

@@ -191,3 +191,45 @@ def test_a_task_that_raises_closes_every_task_started_ones_too():
     with pytest.raises(RuntimeError, match="boom"):
         run([parent(), failing()], started)
     assert sorted(closed) == ["child", "parent"] and time.monotonic() - started_at < 5
+
+
+def test_a_deadline_no_longer_waited_for_wakes_nothing():
+    ready, peer = socket.socketpair()
+
+    def task():
+        first = yield [], time.monotonic() + 0.01
+        return first, (yield from _wait(ready, math.inf))
+
+    with ready, peer:
+        waker = threading.Timer(0.2, peer.send, args=(b"x",))
+        waker.start()
+        try:
+            [(first, second)] = run([task()])
+        finally:
+            waker.join()
+        # resumed by the timer's write alone, not by its passed first deadline
+        assert first == [] and second == [(ready.fileno(), select.POLLIN)]
+
+
+class _Measured(Exception):
+    """Ends a run from its measuring task, with the CPU seconds it measured."""
+
+
+def test_tasks_waiting_with_no_deadline_cost_a_wake_nothing():
+    def idle():
+        yield [], math.inf
+
+    def waker(wakes):
+        yield [], 0  # the idle tasks start meanwhile
+        cpu = time.thread_time()
+        for _ in range(wakes):
+            yield [], 0
+        raise _Measured(time.thread_time() - cpu)
+
+    def cost(idle_tasks):
+        with pytest.raises(_Measured) as measured:
+            run([waker(200), *(idle() for _ in range(idle_tasks))])
+        return measured.value.args[0]
+
+    # a min or a scan over every idle task's deadline would cost 10-100 times more
+    assert cost(20000) < 5 * cost(0) + 0.02
