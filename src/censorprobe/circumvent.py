@@ -73,15 +73,10 @@ class CircumventionConfig:
 
     def __post_init__(self):
         check_port(self.http_port, "http_port")
-        for host, address in self.host_ip_table.items():
-            if not isinstance(address, str):
-                raise ValueError(f"host_ip_table: {host}: {address!r} is not an address")
-        if not isinstance(self.default_address, (str, type(None))):
-            raise ValueError(f"default_address: {self.default_address!r} is not an address")
         for name, template in self.cache_templates.items():
             if name not in DEFAULT_CACHE_TEMPLATES:
                 raise ValueError(f"cache_templates: {name!r} is not a cache engine")
-            if not isinstance(template, str) or "{URL}" not in template:
+            if "{URL}" not in template:
                 raise ValueError(f"cache_templates: {name}: {template!r} holds no {{URL}}")
 
 

@@ -11,7 +11,7 @@ import time
 from . import circumvent, dataset, emulator, httpwire, probe, report
 from .classify import FingerprintSet, Reference, classify_target
 from .model import InvalidDocument, MalformedUrl, Verdict, check_port, given_keys
-from .model import parse_target, read_document, resolver_spec
+from .model import parse_target, read_document, resolver_spec, str_list, str_object
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,8 +39,9 @@ def _read(path: str, build):
 def fingerprint_set(doc: dict) -> FingerprintSet:
     """A fingerprints file; a signal list it lacks is empty."""
     lists = given_keys(
-        {"digests": [], "patterns": [], "last_modified": [], **doc}, digests=frozenset,
-        patterns=lambda texts: tuple(p.encode("utf-8") for p in texts), last_modified=tuple,
+        {"digests": [], "patterns": [], "last_modified": [], **doc},
+        digests=lambda t: frozenset(str_list(t)),
+        patterns=lambda t: tuple(p.encode("utf-8") for p in str_list(t)), last_modified=str_list,
     )
     return FingerprintSet(*lists.values())  # in field order
 
@@ -50,37 +51,37 @@ def load_fingerprints(path: str | None) -> FingerprintSet:
 
 
 def probe_config(doc: dict) -> probe.ProbeConfig:
-    timeouts = given_keys(doc.get("timeouts", {}), dns=None, tcp=None, http=None)
-    return probe.ProbeConfig(
-        **{f"{step}_timeout_ms": ms for step, ms in timeouts.items()},
-        **given_keys(
-            doc, resolvers=lambda rs: list(map(resolver_spec, rs)),
-            keyword_portal=parse_target, retries=None, workers=None, host_overrides=dict,
-            http_port=None,
-        ),
+    found = given_keys(
+        doc, resolvers=lambda rs: list(map(resolver_spec, rs)), keyword_portal=parse_target,
+        timeouts=lambda steps: given_keys(steps, dns=float, tcp=float, http=float),
+        retries=int, workers=int, host_overrides=str_object, http_port=int,
     )
+    timeouts = {f"{step}_timeout_ms": ms for step, ms in found.pop("timeouts", {}).items()}
+    return probe.ProbeConfig(**found, **timeouts)
 
 
 def references(doc: dict) -> dict[str, Reference]:
     """A reference file: {host: {"addresses", "body_digest"}}."""
     def reference(entry: dict) -> Reference:
-        return Reference(**given_keys(entry, addresses=tuple, body_digest=None))
+        return Reference(**given_keys(entry, addresses=str_list, body_digest=str))
 
     return given_keys(doc, **dict.fromkeys(doc, reference))
 
 
 def clean_config(doc: dict) -> dict:
-    keys = dict(collapse_hosts=set, http_port=None, host_overrides=dict, skip_liveness=bool)
-    config = given_keys(doc, **keys)
+    config = given_keys(
+        doc, collapse_hosts=lambda hosts: set(str_list(hosts)), http_port=int,
+        host_overrides=str_object, skip_liveness=bool,
+    )
     check_port(config.get("http_port", 80), "http_port")
     return config
 
 
 def circumvention_config(doc: dict) -> circumvent.CircumventionConfig:
     return circumvent.CircumventionConfig(**given_keys(
-        doc, methods=lambda names: list(map(circumvent.Method, names)), host_ip_table=dict,
-        cache_templates=lambda t: {**circumvent.DEFAULT_CACHE_TEMPLATES, **t},
-        http_port=None, default_address=None,
+        doc, methods=lambda names: list(map(circumvent.Method, str_list(names))),
+        host_ip_table=str_object, http_port=int, default_address=str | None,
+        cache_templates=lambda t: {**circumvent.DEFAULT_CACHE_TEMPLATES, **str_object(t)},
     ))
 
 

@@ -190,8 +190,23 @@ def exchange_steps(
     retries: int = 0,
     socks: dict[tuple[str, int], socket.socket] | None = None,
 ) -> Generator[tuple, list, list[tuple[DnsMessage, float] | DnsError]]:
-    """exchange() as a step generator (see loop): it waits by yielding the
-    sockets it reads and the attempt's deadline."""
+    """Ask every server for qname's A record at once; returns, per server and
+    in input order, (message, rtt seconds) or the DnsError its lookup ended
+    with. A step generator (see loop): it waits by yielding the sockets it
+    reads and the attempt's deadline.
+
+    `socks` maps a server to a socket from connect(server) that the caller
+    keeps for many lookups; a server without one gets a socket opened for
+    this call and closed before it returns. Servers with one address share
+    its socket: a reply counts only for the query whose txid, QR bit and
+    question name it matches, and the txids in flight on one socket are
+    distinct. `timeout` bounds each attempt's whole wait, however many
+    datagrams are skipped; each attempt resends the unanswered queries with
+    fresh txids, so the call waits at most (retries + 1) * timeout in all.
+    A garbled datagram (DnsDecodeError) or a socket error, such as a closed
+    port, ends only the queries pending on that socket; a name that cannot
+    be encoded ends every lookup; DnsTimeout ends those never answered.
+    """
     try:
         question = encode_name(qname) + _QUESTION_TAIL
     except DnsError as exc:
@@ -274,43 +289,17 @@ def exchange_steps(
     return results
 
 
-def exchange(
-    servers: list[tuple[str, int]],
-    qname: str,
-    timeout: float,
-    retries: int = 0,
-    socks: dict[tuple[str, int], socket.socket] | None = None,
-) -> list[tuple[DnsMessage, float] | DnsError]:
-    """Ask every server for qname's A record at once; returns, per server and
-    in input order, (message, rtt seconds) or the DnsError its lookup ended
-    with.
-
-    `socks` maps a server to a socket from connect(server) that the caller
-    keeps for many lookups; a server without one gets a socket opened for
-    this call and closed before it returns. Servers with one address share
-    its socket: a reply counts only for the query whose txid, QR bit and
-    question name it matches, and the txids in flight on one socket are
-    distinct. `timeout` bounds each attempt's whole wait, however many
-    datagrams are skipped; each attempt resends the unanswered queries with
-    fresh txids, so the call waits at most (retries + 1) * timeout in all.
-    A garbled datagram (DnsDecodeError) or a socket error, such as a closed
-    port, ends only the queries pending on that socket; a name that cannot
-    be encoded ends every lookup; DnsTimeout ends those never answered.
-    """
-    return drive(exchange_steps(servers, qname, timeout, retries, socks))
-
-
 def query(
     server: tuple[str, int], qname: str, timeout: float, retries: int = 0
 ) -> tuple[DnsMessage, float]:
     """Send an A query over UDP; returns (message, rtt seconds).
 
-    exchange() with one server, on a socket opened for the query. Raises
+    exchange_steps() with one server, on a socket opened for the query. Raises
     only DnsError: DnsTimeout after the final retry, DnsDecodeError on a
     garbled response, a DnsError for a name that cannot be encoded, and one
     naming the server for any socket error, such as a closed port.
     """
-    (result,) = exchange([server], qname, timeout, retries)
+    (result,) = drive(exchange_steps([server], qname, timeout, retries))
     if isinstance(result, DnsError):
         raise result
     return result

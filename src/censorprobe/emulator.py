@@ -24,9 +24,8 @@ from math import inf
 from typing import IO
 
 from . import dnswire, httpwire, loop
-from .model import (
-    InvalidDocument, ResolverSpec, given_keys, is_private_ip, read_document, resolver_spec,
-)
+from .model import InvalidDocument, ResolverSpec, given_keys, is_private_ip, read_document
+from .model import resolver_spec, str_list
 
 DEFAULT_WARNING_BODY = (
     b"<html><head><title>Surf Safely!</title></head>"
@@ -179,32 +178,24 @@ class CensorPolicy:
         return not self._blackhole_hosts.isdisjoint(_host_patterns(host))
 
 
-def _str_list(value) -> tuple[str, ...]:
-    # a string would otherwise become a tuple of characters
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise TypeError("expected a list of strings")
-    return tuple(value)
-
-
 def _pairs(value) -> tuple[tuple[str, str], ...]:
-    if not all(isinstance(p, list) and len(p) == 2 for p in value):
+    if type(value) is not list or any(len(str_list(p)) != 2 for p in value):
         raise TypeError("expected [host, uri] pairs")
-    return tuple((host, uri) for host, uri in value)
+    return tuple(map(tuple, value))
 
 
 def _policy(doc: dict) -> CensorPolicy:
     found = given_keys(
-        doc, generation=Generation, dns_rules=_str_list, http_host_rules=_str_list,
+        doc, generation=Generation, dns_rules=str_list, http_host_rules=str_list,
         http_host_uri_rules=_pairs, resolver_map=lambda rs: tuple(map(resolver_spec, rs)),
-        redirect_host=None, warning_body=lambda text: text.encode("utf-8"),
-        warning_last_modified=None, keyword_portal_interception=bool, pop_label=None,
-        rule_id=None, blackhole_hosts=_str_list,
-        zone=lambda z: tuple((host, tuple(addrs)) for host, addrs in z.items()),
+        redirect_host=str, warning_body=lambda text: text.encode("utf-8"),
+        warning_last_modified=str, keyword_portal_interception=bool, pop_label=str,
+        rule_id=str, blackhole_hosts=str_list, warning_body_file=str,
+        zone=lambda z: tuple((host, str_list(addrs)) for host, addrs in z.items()),
     )
-    if "warning_body" not in found and "warning_body_file" in doc:
-        if not isinstance(doc["warning_body_file"], str):
-            raise InvalidDocument("expected a file name", "warning_body_file")
-        with open(doc["warning_body_file"], "rb") as fh:
+    body_file = found.pop("warning_body_file", None)
+    if body_file is not None and "warning_body" not in found:
+        with open(body_file, "rb") as fh:
             found["warning_body"] = fh.read()
     return CensorPolicy(**found)
 

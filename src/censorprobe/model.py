@@ -6,6 +6,7 @@ import enum
 import ipaddress
 import json
 from dataclasses import dataclass, field
+from types import UnionType
 from typing import IO, Any, Callable
 from urllib.parse import quote, urlsplit
 
@@ -68,19 +69,44 @@ def read_document(source: IO[str] | str, build: Callable[[dict], Any]) -> Any:
         raise InvalidDocument(_reason(exc), path=path) from exc
 
 
-def given_keys(doc: dict, /, **convert: Callable | None) -> dict:
-    """The keys of `doc` named in `convert`, each value through its converter
-    (None: as it is). A key the document lacks is left out, so its default
-    stays on the dataclass; a value its converter rejects raises
-    InvalidDocument naming the key."""
+# each check's JSON type: a bool is not an integer, and an integer is a number
+_CHECKS = {str: "string", int: "integer", float: "number", bool: "boolean", type(None): "null"}
+
+
+def given_keys(doc: dict, /, **convert: Any) -> dict:
+    """The keys of `doc` named in `convert`, each value through its entry: a
+    check (str, int, float, bool, or a union of them with None) takes a value
+    of its JSON type as it is; any other entry builds from the value. A key
+    the document lacks is left out, so its default stays on the dataclass; a
+    value its entry rejects raises InvalidDocument naming the key."""
     found, doc = {}, _json_object(doc)
     for key, conv in convert.items():
         if key in doc:
+            value, kinds = doc[key], conv.__args__ if type(conv) is UnionType else (conv,)
             try:
-                found[key] = doc[key] if conv is None else conv(doc[key])
+                if kinds[0] not in _CHECKS:
+                    value = conv(value)
+                elif type(value) not in kinds and not (float in kinds and type(value) is int):
+                    names = " or ".join(map(_CHECKS.get, kinds))
+                    raise TypeError(f"expected {names}, not {json.dumps(value)}")
             except DOCUMENT_ERRORS as exc:
                 raise InvalidDocument(_reason(exc), key=key) from exc
+            found[key] = value
     return found
+
+
+def str_list(value) -> tuple[str, ...]:
+    """A JSON list of strings, as a tuple; a string is not taken as its characters."""
+    if type(value) is not list or not {str}.issuperset(map(type, value)):
+        raise TypeError("expected a list of strings")
+    return tuple(value)
+
+
+def str_object(value) -> dict[str, str]:
+    """A JSON object whose values are strings, as a dict."""
+    if type(value) is not dict or not {str}.issuperset(map(type, value.values())):
+        raise TypeError("expected an object of strings")
+    return dict(value)
 
 
 class Mechanism(enum.Enum):
@@ -231,8 +257,8 @@ class ResolverSpec:
 
 def resolver_spec(entry: dict) -> ResolverSpec:
     """A ResolverSpec from a resolver entry of an input file."""
-    keys = dict.fromkeys(("name", "address", "nxdomain_redirector", "port"))
-    return ResolverSpec(**given_keys(entry, **keys))
+    entry = given_keys(entry, name=str, address=str, nxdomain_redirector=str | None, port=int)
+    return ResolverSpec(**entry)
 
 
 # The five public servers and the redirectors observed for them.

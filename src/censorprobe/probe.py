@@ -49,8 +49,6 @@ class ProbeConfig:
         for value in (self.dns_timeout_ms, self.tcp_timeout_ms, self.http_timeout_ms):
             if not 0 < value < math.inf:  # NaN fails too; each step needs a deadline
                 raise ValueError("timeouts must be finite and strictly positive")
-        if type(self.workers) is not int or type(self.retries) is not int:
-            raise ValueError("workers and retries must be integers")
         if self.workers < 1 or self.retries < 0:
             raise ValueError("workers must be at least 1 and retries at least 0")
         check_port(self.http_port, "http_port")
@@ -85,7 +83,7 @@ def dns_steps(
     target: TargetUrl, config: ProbeConfig, sockets: dict | None = None
 ) -> Generator[tuple, list, list[DnsObservation]]:
     """dns_step as a step generator (see loop); `sockets` maps a resolver
-    address to the socket its lookups use, as dnswire.exchange's `socks`."""
+    address to the socket its lookups use, as dnswire.exchange_steps' `socks`."""
     replies = yield from dnswire.exchange_steps(
         [(r.address, r.port) for r in config.resolvers], target.host,
         timeout=config.dns_timeout_ms / 1000.0, retries=config.retries, socks=sockets,

@@ -127,6 +127,19 @@ class TestEvaluateMatrix:
         assert matrix[(blocked.render(), Method.SearchCache)] is Outcome.Accessible
         assert matrix[(clean.render(), Method.WebDnsPlusHostHeader)] is Outcome.Accessible
 
+    def test_search_cache_fetches_from_the_configured_template(self, isp302_emulator):
+        emu = isp302_emulator
+        emu.origin.add_site("cache.test", b"<html>cached copy</html>")
+        config = self._config(emu)
+        config.host_ip_table, config.default_address = {"cache.test": "127.0.0.1"}, None
+        target = parse_target("http://youtube.com")
+        key = (target.render(), Method.SearchCache)
+        # the default template's host has no address in this table
+        assert evaluate_matrix([target], [Method.SearchCache], config)[key] is Outcome.Inconclusive
+        config.cache_templates = {"GoogleCache": "http://cache.test/c/{URL}"}
+        assert evaluate_matrix([target], [Method.SearchCache], config)[key] is Outcome.Accessible
+        assert ("cache.test", "/c/" + target.render()) in emu.origin.requests
+
     def test_host_uri_block_and_fake_200(self, ixp200_emulator):
         config = self._config(ixp200_emulator)
         target = parse_target("http://vimeo.com/video/64414932")

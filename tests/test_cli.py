@@ -470,6 +470,64 @@ MALFORMED_INPUTS = {
     "circumvent-default-address-number": (
         "circumvent", json.dumps({**_LOOPBACK_CIRCUMVENT, "default_address": 5}), "default_address"
     ),
+    # a value of the wrong JSON type, where a cast would once have read it as
+    # something else; a clean case that got through would skip the liveness
+    # pass or fetch from loopback
+    "clean-skip-liveness-string": (
+        "clean", json.dumps({"skip_liveness": "false"}), "skip_liveness"
+    ),
+    "clean-skip-liveness-number": ("clean", json.dumps({"skip_liveness": 1}), "skip_liveness"),
+    "clean-collapse-string": (
+        "clean", json.dumps({"collapse_hosts": "a.test", "skip_liveness": True}), "collapse_hosts"
+    ),
+    "clean-override-number": (
+        "clean", json.dumps({"host_overrides": {"a.test": 5}}), "host_overrides"
+    ),
+    "reference-addresses-string": (
+        "reference", json.dumps({"a.test": {"addresses": "192.0.2.1"}}), "a.test: addresses"
+    ),
+    "reference-digest-number": (
+        "reference", json.dumps({"a.test": {"body_digest": 5}}), "a.test: body_digest"
+    ),
+    "fingerprints-digests-string": ("fingerprints", json.dumps({"digests": "abc"}), "digests"),
+    "fingerprints-patterns-string": (
+        "fingerprints", json.dumps({"patterns": "not accessible"}), "patterns"
+    ),
+    "fingerprints-last-modified-string": (
+        "fingerprints", json.dumps({"last_modified": "Fri"}), "last_modified"
+    ),
+    "probe-resolver-address-number": (
+        "probe",
+        json.dumps({"resolvers": [{"name": "L", "address": 2130706433, "port": 9}]}),
+        "resolvers: address",
+    ),
+    "probe-redirector-number": (
+        "probe",
+        json.dumps({"resolvers": [{**_LOOPBACK_PROBE["resolvers"][0], "nxdomain_redirector": 5}]}),
+        "resolvers: nxdomain_redirector",
+    ),
+    "probe-override-pairs": (
+        "probe",
+        json.dumps({**_LOOPBACK_PROBE, "host_overrides": [["a.test", "127.0.0.1"]]}),
+        "host_overrides",
+    ),
+    "probe-bool-timeout": (
+        "probe", json.dumps({**_LOOPBACK_PROBE, "timeouts": {"dns": True}}), "timeouts: dns"
+    ),
+    "probe-timeouts-list": ("probe", json.dumps({**_LOOPBACK_PROBE, "timeouts": [1]}), "timeouts"),
+    "policy-interception-string": (
+        "policy",
+        json.dumps({"generation": "Ixp200", "keyword_portal_interception": "false"}),
+        "keyword_portal_interception",
+    ),
+    "policy-interception-number": (
+        "policy",
+        json.dumps({"generation": "Ixp200", "keyword_portal_interception": 1}),
+        "keyword_portal_interception",
+    ),
+    "policy-zone-string": (
+        "policy", json.dumps({"generation": "Ixp200", "zone": {"a.test": "127.0.0.1"}}), "zone"
+    ),
 }
 
 
@@ -564,7 +622,7 @@ VALID_DOCUMENTS = {
             "collapse_hosts": ["youtube.com"],
             "http_port": 8080,
             "host_overrides": {"a.test": "127.0.0.1"},
-            "skip_liveness": 1,
+            "skip_liveness": True,
         },
         {
             "collapse_hosts": {"youtube.com"},
@@ -593,6 +651,17 @@ VALID_DOCUMENTS = {
     ),
     "circumvent-minimal": (
         circumvention_config, {"methods": ["CoralCdn"]}, CircumventionConfig([Method.CoralCdn])
+    ),
+    # null is the one value a key whose default is None may take
+    "circumvent-null-default-address": (
+        circumvention_config,
+        {"methods": ["CoralCdn"], "default_address": None},
+        CircumventionConfig([Method.CoralCdn]),
+    ),
+    "probe-null-redirector": (
+        probe_config,
+        {"resolvers": [{"name": "Google", "address": "8.8.8.8", "nxdomain_redirector": None}]},
+        ProbeConfig(resolvers=[ResolverSpec("Google", "8.8.8.8")]),
     ),
     "stored-full": (
         report.from_jsonable,

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from censorprobe import dnswire
+from censorprobe import dnswire, loop
 
 from conftest import answer_one_query, ipv6_loopback_socket
 
@@ -262,7 +262,9 @@ def test_late_reply_to_an_earlier_query_on_the_socket_is_skipped(monkeypatch):
         server.bind(("127.0.0.1", 0))
         address = server.getsockname()
         with dnswire.connect(address) as sock:
-            (timed_out,) = dnswire.exchange([address], "one.test", 0.05, socks={address: sock})
+            (timed_out,) = loop.drive(
+                dnswire.exchange_steps([address], "one.test", 0.05, socks={address: sock})
+            )
             assert isinstance(timed_out, dnswire.DnsTimeout)
             data, client = server.recvfrom(512)
             late = dnswire.encode_response(
@@ -271,7 +273,9 @@ def test_late_reply_to_an_earlier_query_on_the_socket_is_skipped(monkeypatch):
             server.sendto(late, client)
             peer = answer_one_query(server)
             try:
-                ((msg, _),) = dnswire.exchange([address], "two.test", 2, socks={address: sock})
+                ((msg, _),) = loop.drive(
+                    dnswire.exchange_steps([address], "two.test", 2, socks={address: sock})
+                )
             finally:
                 peer.join(timeout=10)
     assert (msg.txid, msg.qname, msg.answers) == (0x1234, "two.test", ["1.2.3.4"])
@@ -304,9 +308,9 @@ def test_exchange_routes_replies_on_a_shared_socket_by_txid(monkeypatch):
         peer.start()
         try:
             with dnswire.connect(address) as sock:
-                first, second = dnswire.exchange(
+                first, second = loop.drive(dnswire.exchange_steps(
                     [address, address], "a.test", timeout=2, socks={address: sock}
-                )
+                ))
         finally:
             peer.join(timeout=10)
         assert not peer.is_alive()
@@ -337,9 +341,9 @@ def test_exchange_wrong_txid_flood_on_one_socket_does_not_extend_the_deadline():
         peers[0].start()
         started = time.monotonic()
         try:
-            timed_out, answered = dnswire.exchange(
+            timed_out, answered = loop.drive(dnswire.exchange_steps(
                 [flooded.getsockname(), live.getsockname()], "a.test", timeout=0.3, retries=1
-            )
+            ))
             elapsed = time.monotonic() - started
         finally:
             done.set()
@@ -361,9 +365,9 @@ def test_exchange_garbled_reply_ends_only_its_socket():
         peers = [threading.Thread(target=garble), answer_one_query(live)]
         peers[0].start()
         try:
-            garbled, answered = dnswire.exchange(
+            garbled, answered = loop.drive(dnswire.exchange_steps(
                 [garbler.getsockname(), live.getsockname()], "a.test", timeout=2
-            )
+            ))
         finally:
             for peer in peers:
                 peer.join(timeout=10)
@@ -373,7 +377,9 @@ def test_exchange_garbled_reply_ends_only_its_socket():
 
 def test_exchange_unencodable_name_ends_every_lookup(monkeypatch):
     monkeypatch.setattr(dnswire, "connect", lambda server: pytest.fail("opened a socket"))
-    results = dnswire.exchange([("127.0.0.1", 53), ("127.0.0.2", 53)], "a..test", timeout=1)
+    results = loop.drive(
+        dnswire.exchange_steps([("127.0.0.1", 53), ("127.0.0.2", 53)], "a..test", timeout=1)
+    )
     assert len(results) == 2 and all(isinstance(r, dnswire.DnsError) for r in results)
 
 
@@ -385,9 +391,9 @@ def test_exchange_closes_the_sockets_it_opens():
         peer = answer_one_query(live)
         before = len(os.listdir("/proc/self/fd"))
         try:
-            broadcast, closed, timed_out, answered = dnswire.exchange(
+            broadcast, closed, timed_out, answered = loop.drive(dnswire.exchange_steps(
                 servers, "a.test", timeout=0.3
-            )
+            ))
         finally:
             peer.join(timeout=10)
         assert len(os.listdir("/proc/self/fd")) == before
@@ -451,9 +457,9 @@ def test_exchange_results_match_their_queries_or_are_dns_errors(plans, retries):
         thread.start()
     try:
         started = time.monotonic()
-        results = dnswire.exchange(
+        results = loop.drive(dnswire.exchange_steps(
             [s.getsockname() for s in servers], "a.test", timeout=timeout, retries=retries
-        )
+        ))
         elapsed = time.monotonic() - started
     finally:
         done.set()

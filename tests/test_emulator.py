@@ -269,7 +269,7 @@ class TestPolicyValidation:
                     "warning_body": "stop",
                     "warning_body_file": str(body_file),
                     "warning_last_modified": "Sat, 20 Apr 2013 00:00:00 GMT",
-                    "keyword_portal_interception": 1,
+                    "keyword_portal_interception": True,
                     "pop_label": "pop",
                     "rule_id": "7",
                     "zone": {"a.test": ["192.0.2.1"], "d.test": []},
@@ -312,6 +312,14 @@ class TestPolicyValidation:
                     assert load_policy(fh) == expected
             else:
                 assert load_policy(text) == expected
+
+    def test_resolver_without_redirector_may_name_it_null(self):
+        # as the benchmark's policies write each resolver that has none
+        resolver = {"name": "Google", "address": "8.8.8.8", "nxdomain_redirector": None}
+        doc = {"generation": "Ixp200", "resolver_map": [resolver]}
+        assert load_policy(json.dumps(doc)) == CensorPolicy(
+            generation=Generation.Ixp200, resolver_map=(ResolverSpec("Google", "8.8.8.8"),)
+        )
 
     def test_bad_policy_file_named_in_error(self, tmp_path):
         path = tmp_path / "policy.json"

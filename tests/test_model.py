@@ -1,5 +1,7 @@
+import ast
 import ipaddress
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +17,12 @@ from censorprobe.model import (
     TcpResult,
     Verdict,
     Mechanism,
+    InvalidDocument,
+    given_keys,
     is_private_ip,
     parse_target,
+    str_list,
+    str_object,
 )
 
 
@@ -228,3 +234,54 @@ def test_verdict_clean_iff_no_mechanisms():
     t = parse_target("http://a.com")
     assert Verdict(t, frozenset()).clean is True
     assert Verdict(t, frozenset({Mechanism.DnsInjection})).clean is False
+
+
+class TestGivenKeys:
+    @pytest.mark.parametrize(
+        "entry, value, loaded",
+        [(str, "a", "a"), (int, 5, 5), (float, 5, 5), (float, 0.5, 0.5), (bool, False, False),
+         (str | None, None, None), (str | None, "a", "a"), (str_list, ["a"], ("a",)),
+         (str_object, {"a": "b"}, {"a": "b"}), (lambda text: int(text) + 1, "3", 4)],
+    )
+    def test_check_takes_its_json_type_and_builder_builds(self, entry, value, loaded):
+        assert given_keys({"k": value, "x": "ignored"}, k=entry, n=str) == {"k": loaded}
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [(str, 5), (str, None), (int, True), (int, 5.0), (float, False), (float, "5"),
+         (bool, 1), (bool, "false"), (str | None, 5), (int, [1]), (str_list, "ab"),
+         (str_list, ["a", 1]), (str_list, {"a": "b"}), (str_object, [["a", "b"]]),
+         (str_object, {"a": 5}), (str_object, {"a": None})],
+    )
+    def test_value_of_another_json_type_is_rejected_naming_the_key(self, entry, value):
+        with pytest.raises(InvalidDocument) as exc:
+            given_keys({"k": value}, k=entry)
+        assert exc.value.key == "k" and str(exc.value).startswith("k: expected ")
+
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "censorprobe").glob("*.py"))
+CASTS = {"tuple", "list", "set", "frozenset", "dict"}
+
+
+def test_no_reader_takes_a_value_unchecked_or_casts_it():
+    """Every given_keys entry, read from the source with ast, is a check or a
+    builder: not None (a value taken as it is) nor a bare cast, which reads a
+    string as its characters. The one entry list built at run time is
+    references' one builder per host name."""
+    calls, faults = 0, []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "given_keys"):
+                continue
+            calls += 1
+            for kw in node.keywords:
+                where = f"{path.name}:{kw.value.lineno}: {kw.arg or '**'}"
+                if kw.arg is None:
+                    if ast.unparse(kw.value) != "dict.fromkeys(doc, reference)":
+                        faults.append(f"{where}: entries not written inline")
+                elif isinstance(kw.value, ast.Constant) and kw.value.value is None:
+                    faults.append(f"{where}: None")
+                elif isinstance(kw.value, ast.Name) and kw.value.id in CASTS:
+                    faults.append(f"{where}: bare {kw.value.id}")
+    assert calls >= 8
+    assert not faults
