@@ -4,7 +4,7 @@ fetch with a crafted Host header, and the accessibility matrix over them."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import httpwire
 from .classify import AmbiguousEvidence, FingerprintSet, classify_http
@@ -35,13 +35,7 @@ class Outcome(enum.Enum):
 
 def coralize(target: TargetUrl) -> TargetUrl:
     """Append the CDN suffix to the hostname; everything else unchanged."""
-    return TargetUrl(
-        raw=target.raw,
-        scheme=target.scheme,
-        host=target.host + CORAL_SUFFIX,
-        path=target.path,
-        query=target.query,
-    )
+    return replace(target, host=target.host + CORAL_SUFFIX)
 
 
 def cache_url(target: TargetUrl, templates: dict[str, str] | None = None) -> TargetUrl:

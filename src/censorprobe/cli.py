@@ -36,6 +36,19 @@ def _read(path: str, build):
         return read_document(fh, build)
 
 
+def _hosts(names):
+    """`names` (a list, or an object's keys), each a host as TargetUrl.host
+    holds it: lower-case and IDNA-encoded, or it would never match one."""
+    for name in names:
+        try:
+            host = parse_target(name).host
+        except MalformedUrl as exc:
+            raise InvalidDocument(str(exc), name) from None
+        if host != name:
+            raise InvalidDocument(f"never matches a target's host; write {host!r}", name)
+    return names
+
+
 def fingerprint_set(doc: dict) -> FingerprintSet:
     """A fingerprints file; a signal list it lacks is empty."""
     lists = given_keys(
@@ -54,7 +67,7 @@ def probe_config(doc: dict) -> probe.ProbeConfig:
     found = given_keys(
         doc, resolvers=lambda rs: list(map(resolver_spec, rs)), keyword_portal=parse_target,
         timeouts=lambda steps: given_keys(steps, dns=float, tcp=float, http=float),
-        retries=int, workers=int, host_overrides=str_object, http_port=int,
+        retries=int, workers=int, host_overrides=lambda t: _hosts(str_object(t)), http_port=int,
     )
     timeouts = {f"{step}_timeout_ms": ms for step, ms in found.pop("timeouts", {}).items()}
     return probe.ProbeConfig(**found, **timeouts)
@@ -65,13 +78,13 @@ def references(doc: dict) -> dict[str, Reference]:
     def reference(entry: dict) -> Reference:
         return Reference(**given_keys(entry, addresses=str_list, body_digest=str))
 
-    return given_keys(doc, **dict.fromkeys(doc, reference))
+    return _hosts(given_keys(doc, **dict.fromkeys(doc, reference)))
 
 
 def clean_config(doc: dict) -> dict:
     config = given_keys(
-        doc, collapse_hosts=lambda hosts: set(str_list(hosts)), http_port=int,
-        host_overrides=str_object, skip_liveness=bool,
+        doc, collapse_hosts=lambda hosts: set(_hosts(str_list(hosts))), http_port=int,
+        host_overrides=lambda t: _hosts(str_object(t)), skip_liveness=bool,
     )
     check_port(config.get("http_port", 80), "http_port")
     return config
@@ -80,7 +93,7 @@ def clean_config(doc: dict) -> dict:
 def circumvention_config(doc: dict) -> circumvent.CircumventionConfig:
     return circumvent.CircumventionConfig(**given_keys(
         doc, methods=lambda names: list(map(circumvent.Method, str_list(names))),
-        host_ip_table=str_object, http_port=int, default_address=str | None,
+        host_ip_table=lambda t: _hosts(str_object(t)), http_port=int, default_address=str | None,
         cache_templates=lambda t: {**circumvent.DEFAULT_CACHE_TEMPLATES, **str_object(t)},
     ))
 

@@ -95,6 +95,11 @@ class CensorPolicy:
             if rule not in http_hosts:
                 reason = f"{rule!r} has no HTTP rule; a DNS-blocked host needs one"
                 raise InvalidDocument(reason, f"dns_rules[{i}]")
+        # the emulator keys its DNS listeners by resolver name
+        names = [r.name for r in self.resolver_map]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise InvalidDocument(f"resolver name {name!r} used twice", f"resolver_map[{i}]")
         if self.generation is Generation.Isp302 and not is_private_ip(self.redirect_host):
             reason = f"{self.redirect_host!r} is not a private IPv4 address"
             raise InvalidDocument(reason, "redirect_host")

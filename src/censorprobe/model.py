@@ -48,7 +48,8 @@ def _reason(exc: Exception) -> str:
     return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
-def _json_object(doc) -> dict:
+def json_object(doc) -> dict:
+    """`doc` if it is a JSON object."""
     if not isinstance(doc, dict):
         raise TypeError(f"expected a JSON object, not {type(doc).__name__}")
     return doc
@@ -61,7 +62,7 @@ def read_document(source: IO[str] | str, build: Callable[[dict], Any]) -> Any:
     path = getattr(source, "name", None)
     try:
         text = source if isinstance(source, str) else source.read()
-        return build(_json_object(json.loads(text)))
+        return build(json_object(json.loads(text)))
     except InvalidDocument as exc:
         exc.path = path
         raise
@@ -73,26 +74,29 @@ def read_document(source: IO[str] | str, build: Callable[[dict], Any]) -> Any:
 _CHECKS = {str: "string", int: "integer", float: "number", bool: "boolean", type(None): "null"}
 
 
+def checked(value, entry, key: str | None = None):
+    """`value` through `entry`: a check (str, int, float, bool, or a union of
+    them with None) takes a value of its JSON type as it is; any other entry
+    builds from the value. A value the entry rejects raises InvalidDocument
+    naming `key`."""
+    try:
+        if type(entry) is not UnionType and entry not in _CHECKS:
+            return entry(value)
+        kinds = entry.__args__ if type(entry) is UnionType else (entry,)
+        if type(value) in kinds or float in kinds and type(value) is int:
+            return value
+        names = " or ".join(map(_CHECKS.get, kinds))
+        raise TypeError(f"expected {names}, not {json.dumps(value)}")
+    except DOCUMENT_ERRORS as exc:
+        raise InvalidDocument(_reason(exc), key=key) from exc
+
+
 def given_keys(doc: dict, /, **convert: Any) -> dict:
-    """The keys of `doc` named in `convert`, each value through its entry: a
-    check (str, int, float, bool, or a union of them with None) takes a value
-    of its JSON type as it is; any other entry builds from the value. A key
-    the document lacks is left out, so its default stays on the dataclass; a
-    value its entry rejects raises InvalidDocument naming the key."""
-    found, doc = {}, _json_object(doc)
-    for key, conv in convert.items():
-        if key in doc:
-            value, kinds = doc[key], conv.__args__ if type(conv) is UnionType else (conv,)
-            try:
-                if kinds[0] not in _CHECKS:
-                    value = conv(value)
-                elif type(value) not in kinds and not (float in kinds and type(value) is int):
-                    names = " or ".join(map(_CHECKS.get, kinds))
-                    raise TypeError(f"expected {names}, not {json.dumps(value)}")
-            except DOCUMENT_ERRORS as exc:
-                raise InvalidDocument(_reason(exc), key=key) from exc
-            found[key] = value
-    return found
+    """The keys of `doc` named in `convert`, each value through its entry (see
+    checked). A key the document lacks is left out, so its default stays on
+    the dataclass."""
+    doc = json_object(doc)
+    return {key: checked(doc[key], entry, key) for key, entry in convert.items() if key in doc}
 
 
 def str_list(value) -> tuple[str, ...]:

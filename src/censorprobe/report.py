@@ -15,14 +15,8 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from .dataset import CleaningReport, RemovalReason
 from .emulator import SessionTranscript
 from .model import (
-    DnsObservation,
-    HttpObservation,
-    Mechanism,
-    ResolverSpec,
-    TargetUrl,
-    TcpObservation,
-    Verdict,
-    read_document,
+    DnsObservation, HttpObservation, Mechanism, ResolverSpec, TargetUrl, TcpObservation, Verdict,
+    checked, json_object, read_document,
 )
 from .probe import TargetProbeResult
 
@@ -108,7 +102,8 @@ def render_table(report: RunReport) -> str:
 # A stored value is {"kind": <class name>, <field>: <value>, ...}, keys in field
 # order; a list is {"kind": "list", "items": [...]}. Each field's JSON form
 # follows from its annotation (_codec), except CleaningReport.removed; Verdict
-# also writes its derived "clean" key, which loading ignores.
+# also writes its derived "clean" key, which loading ignores. Loading checks each
+# value's JSON type with model.checked, as input files are read, and casts none.
 
 STORED_KINDS = (
     TargetUrl, ResolverSpec, DnsObservation, TcpObservation, HttpObservation,
@@ -118,59 +113,76 @@ _KINDS = {cls.__name__: cls for cls in STORED_KINDS}
 _DERIVED = {Verdict: ("clean",)}
 
 
+def _of_kind(cls, doc):
+    """A stored `cls` from `doc`, which must be a JSON object of that kind."""
+    if type(doc) is not dict or doc.get("kind") != cls.__name__:
+        raise TypeError(f"expected a stored {cls.__name__}")
+    return cls(**{n: v if type(v := doc[n]) is d else checked(v, d, n) for n, _, d in _plan(cls)})
+
+
+def _sequence(origin, entry, length, doc):
+    """A JSON list of `length` items (any number for None), each through
+    `entry` unless already of its type, as an `origin`."""
+    if type(doc) is not list or length is not None and len(doc) != length:
+        raise TypeError("expected a list" + (f" of {length}" if length else ""))
+    return origin(doc if {entry}.issuperset(map(type, doc)) else [checked(x, entry) for x in doc])
+
+
 def _codec(tp):
-    """(encode, decode) for a value annotated `tp`; (None, None) when JSON
-    holds the value as it is."""
+    """(encode, decode) for a value annotated `tp`: encode is None when JSON
+    holds the value as it is, and decode is a model.checked entry."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp in (str, int, float, bool):
-        return None, None
+        return None, tp
     if tp in STORED_KINDS:
-        return to_jsonable, from_jsonable
+        return to_jsonable, functools.partial(_of_kind, tp)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         return (lambda v: v.value), tp
     if tp is bytes:
         return (lambda v: base64.b64encode(v).decode("ascii")), base64.b64decode
     if tp is Decimal:
-        return str, Decimal
+        return str, lambda d: Decimal(checked(d, str))
     if origin is types.UnionType:  # X | None
         (inner,) = set(args) - {type(None)}
         enc, dec = _codec(inner)
         if enc is None:
-            return enc, dec
-        return (
-            lambda v: None if v is None else enc(v),
-            lambda d: None if d is None else dec(d),
-        )
+            return enc, tp
+        return (lambda v: None if v is None else enc(v)), (lambda d: None if d is None else dec(d))
     if origin in (tuple, list, frozenset):  # a frozenset is a sorted list
         (item,) = set(args) - {Ellipsis}
         order = sorted if origin is frozenset else list
+        length = len(args) if origin is tuple and Ellipsis not in args else None
         enc, dec = _codec(item)
-        if enc is None:
-            return order, origin
         return (
-            lambda v: order([enc(x) for x in v]),
-            lambda d: origin([dec(x) for x in d]),
+            order if enc is None else lambda v: order([enc(x) for x in v]),
+            functools.partial(_sequence, origin, dec, length),
         )
     if origin is dict:  # Enum keys
         (enc_k, dec_k), (enc_v, dec_v) = _codec(args[0]), _codec(args[1])
         return (
             lambda v: {enc_k(k): x if enc_v is None else enc_v(x) for k, x in v.items()},
-            lambda d: {dec_k(k): x if dec_v is None else dec_v(x) for k, x in d.items()},
+            lambda d: {checked(k, dec_k): checked(x, dec_v) for k, x in json_object(d).items()},
         )
     raise TypeError(f"no stored format for {tp!r}")
+
+
+def _removal(doc) -> tuple:
+    pair = json_object(doc)
+    target = checked(pair["target"], functools.partial(_of_kind, TargetUrl), "target")
+    return target, checked(pair["reason"], RemovalReason, "reason")
 
 
 _FIELD_CODECS = {
     (CleaningReport, "removed"): (
         lambda pairs: [{"target": to_jsonable(t), "reason": r.value} for t, r in pairs],
-        lambda doc: [(from_jsonable(d["target"]), RemovalReason(d["reason"])) for d in doc],
+        functools.partial(_sequence, list, _removal, None),
     ),
 }
 
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """(name, encode or None, decode or None) per field of a stored kind."""
+    """(name, encode or None, decode) per field of a stored kind."""
     if cls not in STORED_KINDS:
         raise TypeError(f"cannot serialize {cls.__name__}")
     hints = typing.get_type_hints(cls)
@@ -196,14 +208,15 @@ def to_jsonable(obj):
 
 
 def from_jsonable(doc):
-    """Inverse of to_jsonable; raises TypeError for an unknown kind."""
-    kind = doc.get("kind")
+    """Inverse of to_jsonable; raises TypeError for an unknown kind and
+    InvalidDocument, naming the key path, for a value its field rejects."""
+    kind = json_object(doc).get("kind")
     if kind == "list":
-        return [from_jsonable(x) for x in doc["items"]]
-    cls = _KINDS.get(kind)
-    if cls is None:
+        items = functools.partial(_sequence, list, from_jsonable, None)
+        return checked(doc["items"], items, "items")
+    if kind not in _KINDS:
         raise TypeError(f"cannot deserialize kind {kind!r}")
-    return cls(**{n: doc[n] if dec is None else dec(doc[n]) for n, _, dec in _plan(cls)})
+    return _of_kind(_KINDS[kind], doc)
 
 
 def emit(artifact, destination: str) -> None:

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import os
 import socket
 import subprocess
@@ -23,10 +25,12 @@ from censorprobe.cli import (
     probe_config,
     references,
 )
+from censorprobe.emulator import SessionTranscript
 from censorprobe.model import (
     PUBLIC_RESOLVERS,
     DnsObservation,
     DnsOutcome,
+    InvalidDocument,
     Mechanism,
     ResolverSpec,
     Verdict,
@@ -335,37 +339,76 @@ _STORED = {
     "target-url": _TARGET,
 }
 _STORED_TEXT = {name: json.dumps(report.to_jsonable(v)) for name, v in _STORED.items()}
+
+
+def _edited(value, *path, to):
+    """JSON text of stored `value` with the item at `path`, keys and list
+    indexes into the stored document, set to `to`."""
+    doc = report.to_jsonable(value)
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, doc)[last] = to
+    return json.dumps(doc)
+
+
+_ANSWERED = DnsObservation(PUBLIC_RESOLVERS[0], "a.test", DnsOutcome.Answers, ("192.0.2.1",))
+_RESULTS = [TargetProbeResult(target=_TARGET, dns=(_ANSWERED,))]
+_RUN_REPORT = report.aggregate(_STORED["verdicts"], total=1)
+_TRANSCRIPT = SessionTranscript("censor-http", [("request", "GET / a.test")])
+# (content, key path named in the error or None)
 BAD_STORED_FILES = {
-    "not-json": "{not json",
-    "unknown-kind": json.dumps({"kind": "Mystery"}),
-    "missing-field": json.dumps(
-        {"kind": "list", "items": [{"kind": "Verdict", "mechanisms": []}]}
+    "not-json": ("{not json", None),
+    "unknown-kind": (json.dumps({"kind": "Mystery"}), None),
+    "missing-field": (
+        json.dumps({"kind": "list", "items": [{"kind": "Verdict", "mechanisms": []}]}), None
     ),
+    # a value of another JSON type or length, which loading once took as it
+    # was or cast: the answers "192.0.2.1" would be nine one-character answers
+    "answers-string": (
+        _edited(_RESULTS, "items", 0, "dns", 0, "answers", to="192.0.2.1"), "items: dns: answers"
+    ),
+    "rtt-string": (
+        _edited(_RESULTS, "items", 0, "dns", 0, "rtt_ms", to="5"), "items: dns: rtt_ms"
+    ),
+    "qname-number": (_edited(_RESULTS, "items", 0, "dns", 0, "qname", to=5), "items: dns: qname"),
+    "target-of-another-kind": (
+        _edited(_RESULTS, "items", 0, "target", to=report.to_jsonable(PUBLIC_RESOLVERS[0])),
+        "items: target",
+    ),
+    "inconclusive-string": (
+        _edited(_STORED["verdicts"], "items", 0, "inconclusive", to="no"), "items: inconclusive"
+    ),
+    "total-string": (_edited(_RUN_REPORT, "total", to="3"), "total"),
+    "blocked-percent-number": (
+        _edited(_RUN_REPORT, "blocked_percent", to=100.0), "blocked_percent"
+    ),
+    "transcript-short-pair": (_edited(_TRANSCRIPT, "entries", 0, to=["request"]), "entries"),
 }
-# (name, command, content): a bad file for either command, then stored
+# (name, command, content, key): a bad file for either command, then stored
 # artifacts of the other command's kind
 BAD_STORED_CASES = [
     *(
-        (name, command, content)
+        (name, command, content, key)
         for command in ["report --verdicts", "classify --results"]
-        for name, content in BAD_STORED_FILES.items()
+        for name, (content, key) in BAD_STORED_FILES.items()
     ),
-    ("verdicts", "classify --results", _STORED_TEXT["verdicts"]),
-    ("results", "report --verdicts", _STORED_TEXT["results"]),
-    ("target-url", "classify --results", _STORED_TEXT["target-url"]),
-    ("target-url", "report --verdicts", _STORED_TEXT["target-url"]),
+    ("verdicts", "classify --results", _STORED_TEXT["verdicts"], None),
+    ("results", "report --verdicts", _STORED_TEXT["results"], None),
+    ("target-url", "classify --results", _STORED_TEXT["target-url"], None),
+    ("target-url", "report --verdicts", _STORED_TEXT["target-url"], None),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, content",
-    [pytest.param(c, t, id=f"{n}-{c}") for n, c, t in BAD_STORED_CASES],
+    "command, content, key",
+    [pytest.param(c, t, k, id=f"{n}-{c}") for n, c, t, k in BAD_STORED_CASES],
 )
-def test_bad_stored_file_is_campaign_error(tmp_path, capsys, command, content):
+def test_bad_stored_file_is_campaign_error(tmp_path, capsys, command, content, key):
     path = _write(tmp_path / "stored.json", content)
     assert main([*command.split(), path]) == EXIT_CAMPAIGN
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and path in err
+    assert err.startswith(f"error: {path}: ")
+    if key is not None:
+        assert err.startswith(f"error: {path}: {key}: ")
 
 
 _PROBE = {"resolvers": [{"name": "Google", "address": "8.8.8.8"}]}
@@ -528,6 +571,29 @@ MALFORMED_INPUTS = {
     "policy-zone-string": (
         "policy", json.dumps({"generation": "Ixp200", "zone": {"a.test": "127.0.0.1"}}), "zone"
     ),
+    # a host key that a target's lower-case, IDNA-encoded host never equals,
+    # so that the entry would never apply
+    "probe-override-host-case": (
+        "probe", json.dumps({**_LOOPBACK_PROBE, "host_overrides": {"A.test": "127.0.0.1"}}),
+        "host_overrides: A.test",
+    ),
+    "clean-override-host-unicode": (
+        "clean",
+        json.dumps({"host_overrides": {"bücher.test": "127.0.0.1"}, "skip_liveness": True}),
+        "host_overrides: bücher.test",
+    ),
+    "clean-collapse-host-case": (
+        "clean",
+        json.dumps({"collapse_hosts": ["YouTube.com"], "skip_liveness": True}),
+        "collapse_hosts: YouTube.com",
+    ),
+    "circumvent-table-host-case": (
+        "circumvent",
+        json.dumps({**_LOOPBACK_CIRCUMVENT, "host_ip_table": {"A.test": "127.0.0.1"}}),
+        "host_ip_table: A.test",
+    ),
+    "reference-host-case": ("reference", json.dumps({"Example.COM": {}}), "Example.COM"),
+    "reference-host-unicode": ("reference", json.dumps({"bücher.de": {}}), "bücher.de"),
 }
 
 
@@ -552,6 +618,16 @@ def test_malformed_input_file_is_campaign_error(tmp_path, capsys, kind, content,
     assert err.startswith(f"error: {path}: ")
     if key is not None:
         assert err.startswith(f"error: {path}: {key}: ")
+
+
+@pytest.mark.parametrize(
+    "name, host",
+    [("Example.COM", "example.com"), ("bücher.de", "xn--bcher-kva.de"), ("a.test/", "a.test")],
+)
+def test_host_key_error_names_the_form_that_matches(name, host):
+    with pytest.raises(InvalidDocument) as exc:
+        references({"a.test": {}, name: {}})
+    assert exc.value.key == name and str(exc.value).endswith(f"write {host!r}")
 
 
 _FULL_PROBE = {

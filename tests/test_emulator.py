@@ -213,6 +213,15 @@ class TestPolicyValidation:
             CensorPolicy(generation=Generation.Isp302, redirect_host="8.8.8.8")
         assert "redirect_host" in str(exc.value)
 
+    def test_duplicate_resolver_name_rejected(self):
+        # two listeners under one name: one socket leaks, and one redirector
+        # answers for both resolver identities
+        resolvers = [{"name": "Comodo", "address": "8.26.56.26"},
+                     {"name": "Comodo", "address": "8.8.8.8", "nxdomain_redirector": "192.0.2.1"}]
+        with pytest.raises(InvalidDocument) as exc:
+            load_policy(json.dumps({"generation": "Ixp200", "resolver_map": resolvers}))
+        assert exc.value.key == "resolver_map[1]" and "'Comodo'" in str(exc.value)
+
     def test_load_policy_minimal(self):
         policy = load_policy('{"generation": "Ixp200"}')
         assert policy.generation is Generation.Ixp200

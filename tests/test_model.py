@@ -1,11 +1,14 @@
 import ast
+import functools
 import ipaddress
 import random
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from censorprobe import report
 from censorprobe.model import (
     DnsObservation,
     DnsOutcome,
@@ -284,4 +287,23 @@ def test_no_reader_takes_a_value_unchecked_or_casts_it():
                 elif isinstance(kw.value, ast.Name) and kw.value.id in CASTS:
                     faults.append(f"{where}: bare {kw.value.id}")
     assert calls >= 8
+    assert not faults
+
+
+def test_no_stored_field_is_taken_unchecked_or_cast():
+    """Every decode entry of every stored kind's plan, read at run time, is a
+    check or a builder: not None nor a bare cast. So is the item entry of
+    each sequence builder; the container it fills with checked items is not
+    an entry."""
+    faults = []
+
+    def walk(where, entry):
+        if entry is None or entry in (tuple, list, set, frozenset, dict, Decimal):
+            faults.append(f"{where}: {entry!r}")
+        elif isinstance(entry, functools.partial) and entry.func is report._sequence:
+            walk(f"{where} item", entry.args[1])
+
+    for cls in report.STORED_KINDS:
+        for name, _, entry in report._plan(cls):
+            walk(f"{cls.__name__}.{name}", entry)
     assert not faults
